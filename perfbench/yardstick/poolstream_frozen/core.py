@@ -1,0 +1,425 @@
+"""Domain types, source distributions, and the pool/stream interaction protocols.
+
+An interactive run selects ``q`` elements and reveals their responses.  In the
+pool protocol the algorithm sees all ``m`` candidate elements up front and picks
+one index per round.  In the stream protocol elements arrive one at a time from
+an i.i.d. source and must be selected (or passed) immediately.  Both protocols
+are driven here, with uniform accounting of
+
+* ``n_sel``  -- responses revealed, including selections later discarded,
+* ``n_iter`` -- elements observed, including unselected ones.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Union
+
+import numpy as np
+
+DEFAULT_MAX_ITER = 10**8
+
+#: Sentinel response meaning "not yet revealed".  Never appears in an output.
+STAR = None
+
+_PROB_TOL = 1e-12
+
+
+class EmulationError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class ContractViolation(EmulationError):
+    """A pool algorithm returned an out-of-range or already-selected index."""
+
+
+class AtomlessDistribution(EmulationError):
+    """An emulator requiring (or forbidding) atoms got the wrong source kind."""
+
+
+class TieDetected(EmulationError):
+    """Two candidate elements scored exactly equal under a utility function."""
+
+
+class IterationCapExceeded(EmulationError):
+    """A stream run observed more elements than its configured cap.
+
+    Signals an impractical configuration rather than a correctness bug.  The
+    counters and the reveal log accumulated so far are attached.
+    """
+
+    def __init__(self, max_iter: int, n_iter: int, n_sel: int,
+                 revealed: tuple = ()):
+        super().__init__(
+            f"stream run exceeded max_iter={max_iter} "
+            f"(n_iter={n_iter}, n_sel={n_sel})")
+        self.max_iter = max_iter
+        self.n_iter = n_iter
+        self.n_sel = n_sel
+        self.revealed = revealed
+
+
+class Element(NamedTuple):
+    """A domain point: a base coordinate plus an atomless tie-break coordinate.
+
+    ``base`` is either a symbol of a finite alphabet (stored as a number) or a
+    real coordinate.  ``tiebreak`` lies in [0, 1) and is drawn uniformly when
+    the source is atomless, so that two independently sampled elements are
+    distinct with probability 1 even over a discrete alphabet.  Elements
+    compare equal iff both coordinates are bitwise equal; bases are sampled,
+    never computed, so exact comparison is well defined.
+    """
+
+    base: float
+    tiebreak: float
+
+
+class LabeledPair(NamedTuple):
+    """An element together with its response.
+
+    Inside a sealed pool or stream item the response holds the pre-sampled
+    truth and must only be read through ``StreamSource.reveal`` or the pool
+    protocol; in a history it has been revealed.
+    """
+
+    element: Element
+    response: int
+
+
+History = Sequence[LabeledPair]
+
+ResponseLawLike = Union[float, Mapping, Callable[[float], float]]
+
+
+@dataclass(frozen=True)
+class DiscreteMarginal:
+    """Finite-support base marginal: symbols with a probability vector."""
+
+    symbols: tuple[float, ...]
+    probs: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.symbols) != len(self.probs) or not self.symbols:
+            raise ValueError("symbols and probs must be equal-length and non-empty")
+        if any(p < 0 for p in self.probs):
+            raise ValueError("negative probability")
+        if abs(sum(self.probs) - 1.0) > _PROB_TOL:
+            raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
+        if len(set(self.symbols)) != len(self.symbols):
+            raise ValueError("duplicate symbols")
+
+
+@dataclass(frozen=True)
+class IntervalMarginal:
+    """Piecewise-uniform base marginal over disjoint real intervals."""
+
+    pieces: tuple[tuple[float, float, float], ...]  # (lo, hi, mass)
+
+    def __post_init__(self):
+        if not self.pieces:
+            raise ValueError("at least one piece required")
+        for lo, hi, mass in self.pieces:
+            if not lo < hi:
+                raise ValueError(f"empty piece [{lo}, {hi}]")
+            if mass < 0:
+                raise ValueError("negative mass")
+        if abs(sum(p[2] for p in self.pieces) - 1.0) > _PROB_TOL:
+            raise ValueError("piece masses must sum to 1")
+
+
+@dataclass(frozen=True)
+class SourceDistribution:
+    """Joint law of (element, response) pairs drawn i.i.d. by a source.
+
+    ``response_one`` gives P[response = 1 | base] as a constant, a mapping from
+    base symbol (missing keys mean 0), or a callable.  ``atomless`` controls
+    the tie-break augmentation: when set, no single element value has positive
+    probability.
+    """
+
+    marginal: DiscreteMarginal | IntervalMarginal
+    response_one: ResponseLawLike = 0.0
+    atomless: bool = False
+
+    def __post_init__(self):
+        if isinstance(self.response_one, (int, float)):
+            p = float(self.response_one)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"constant response probability {p} outside [0, 1]")
+
+    @property
+    def is_discrete(self) -> bool:
+        return isinstance(self.marginal, DiscreteMarginal)
+
+    @property
+    def constant_response(self) -> float | None:
+        """The response probability if it does not depend on the base, else None."""
+        if isinstance(self.response_one, (int, float)):
+            return float(self.response_one)
+        return None
+
+    def prob_one(self, base: float) -> float:
+        law = self.response_one
+        if isinstance(law, (int, float)):
+            return float(law)
+        if isinstance(law, Mapping):
+            return float(law.get(base, 0.0))
+        return float(law(base))
+
+
+def uniform_symbols(k: int, *, atomless: bool = False,
+                    response_one: ResponseLawLike = 0.0) -> SourceDistribution:
+    """Uniform marginal over the integer symbols 0..k-1."""
+    probs = (1.0 / k,) * k
+    return SourceDistribution(DiscreteMarginal(tuple(float(i) for i in range(k)), probs),
+                              response_one, atomless)
+
+
+def uniform_interval(lo: float = 0.0, hi: float = 1.0, *,
+                     response_one: ResponseLawLike = 0.0) -> SourceDistribution:
+    """Uniform marginal on a single real interval (always atomless)."""
+    return SourceDistribution(IntervalMarginal(((lo, hi, 1.0),)), response_one,
+                              atomless=True)
+
+
+def point_mass(symbol: float, *, response_one: ResponseLawLike = 0.0) -> SourceDistribution:
+    """Degenerate marginal on one symbol (useful for recurrence tests)."""
+    return SourceDistribution(DiscreteMarginal((float(symbol),), (1.0,)),
+                              response_one, atomless=False)
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """Derive the independent RNG sub-stream for one trial.
+
+    Streams are keyed by (seed, trial) so trials are order-independent and may
+    run concurrently.
+    """
+    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
+
+
+def sample_element(dist: SourceDistribution, rng: np.random.Generator) -> LabeledPair:
+    """Draw one sealed (element, response) pair from the source law.
+
+    The response is sampled jointly with the element but is meant to stay
+    hidden until a run loop selects the element.
+    """
+    base = _draw_base(dist, rng.random())
+    tiebreak = float(rng.random()) if dist.atomless else 0.0
+    p1 = dist.prob_one(base)
+    if p1 <= 0.0:
+        response = 0
+    elif p1 >= 1.0:
+        response = 1
+    else:
+        response = int(rng.random() < p1)
+    return LabeledPair(Element(base, tiebreak), response)
+
+
+def sample_pool(dist: SourceDistribution, m: int, rng: np.random.Generator) -> list[LabeledPair]:
+    """Draw an i.i.d. pool of ``m`` sealed pairs."""
+    return [sample_element(dist, rng) for _ in range(m)]
+
+
+def _draw_base(dist: SourceDistribution, u: float) -> float:
+    marginal = dist.marginal
+    if isinstance(marginal, DiscreteMarginal):
+        cum = np.cumsum(marginal.probs).tolist()
+        idx = min(bisect_right(cum, u), len(cum) - 1)
+        return marginal.symbols[idx]
+    cum = np.cumsum([p[2] for p in marginal.pieces]).tolist()
+    idx = min(bisect_right(cum, u), len(cum) - 1)
+    lo, hi, mass = marginal.pieces[idx]
+    frac = min(max((u - (cum[idx] - mass)) / mass, 0.0), 1.0)
+    return lo + frac * (hi - lo)
+
+
+class StreamSource:
+    """Lazily samples sealed pairs from a source law with cap enforcement.
+
+    The single point where responses become visible is :meth:`reveal`, which
+    also increments ``n_sel``; emulators must never read a sealed response
+    directly.  Draws are buffered in blocks for speed, so the raw uniform
+    sequence differs from repeated :func:`sample_element` calls, but each
+    construction is deterministic given its generator state.
+    """
+
+    __slots__ = ("dist", "max_iter", "n_iter", "n_sel", "_rng", "_buf", "_pos",
+                 "_block", "_symbols", "_cum", "_pieces", "_atomless",
+                 "_law_const", "_revealed")
+
+    def __init__(self, dist: SourceDistribution, rng: np.random.Generator,
+                 max_iter: int = DEFAULT_MAX_ITER, block: int = 4096):
+        self.dist = dist
+        self.max_iter = max_iter
+        self.n_iter = 0
+        self.n_sel = 0
+        self._rng = rng
+        self._buf: list[float] = []
+        self._pos = 0
+        self._block = block
+        self._atomless = dist.atomless
+        marginal = dist.marginal
+        if isinstance(marginal, DiscreteMarginal):
+            self._symbols = marginal.symbols
+            self._cum = np.cumsum(marginal.probs).tolist()
+            self._pieces = None
+        else:
+            self._symbols = None
+            cum = np.cumsum([p[2] for p in marginal.pieces]).tolist()
+            self._cum = cum
+            self._pieces = marginal.pieces
+        const = dist.constant_response
+        # 0.0/1.0 constants need no draw; anything else draws one uniform.
+        self._law_const = const
+        self._revealed: list[LabeledPair] = []
+
+    def _uniform(self) -> float:
+        pos = self._pos
+        buf = self._buf
+        if pos >= len(buf):
+            buf = self._rng.random(self._block).tolist()
+            self._buf = buf
+            pos = 0
+        self._pos = pos + 1
+        return buf[pos]
+
+    def next(self) -> LabeledPair:
+        """Observe the next sealed stream pair, counting it toward ``n_iter``."""
+        if self.n_iter >= self.max_iter:
+            raise IterationCapExceeded(self.max_iter, self.n_iter, self.n_sel,
+                                       tuple(self._revealed))
+        self.n_iter += 1
+        u = self._uniform()
+        if self._symbols is not None:
+            idx = min(bisect_right(self._cum, u), len(self._cum) - 1)
+            base = self._symbols[idx]
+        else:
+            idx = min(bisect_right(self._cum, u), len(self._cum) - 1)
+            lo, hi, mass = self._pieces[idx]
+            before = self._cum[idx] - mass
+            frac = min(max((u - before) / mass, 0.0), 1.0)
+            base = lo + frac * (hi - lo)
+        tiebreak = self._uniform() if self._atomless else 0.0
+        const = self._law_const
+        if const == 0.0:
+            response = 0
+        elif const == 1.0:
+            response = 1
+        else:
+            p1 = const if const is not None else self.dist.prob_one(base)
+            response = int(self._uniform() < p1)
+        return LabeledPair(Element(base, tiebreak), response)
+
+    def reveal(self, pair: LabeledPair) -> int:
+        """Unseal a selected pair's response, counting it toward ``n_sel``."""
+        self.n_sel += 1
+        self._revealed.append(pair)
+        return pair.response
+
+    @property
+    def revealed(self) -> tuple[LabeledPair, ...]:
+        return tuple(self._revealed)
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One run's output plus its cost counters.
+
+    ``output`` keeps selection order; compare as an unordered multiset when
+    order is immaterial.  Invariants: ``len(output) == q``, every response is
+    revealed, and ``n_iter >= n_sel >= q``.  ``round_attempts`` is a per-round
+    diagnostic emitted by the secretary-based emulator; None elsewhere.
+    """
+
+    output: tuple[LabeledPair, ...]
+    n_sel: int
+    n_iter: int
+    round_attempts: tuple[int, ...] | None = None
+
+    @property
+    def output_multiset(self) -> tuple[LabeledPair, ...]:
+        return tuple(sorted(self.output))
+
+
+class PoolAlgorithm:
+    """Behavioral contract for black-box pool algorithms.
+
+    ``select_next`` must return the index of an unselected pool element given
+    the element values, the revealed history, and the set of already-selected
+    indices (the index set is passed explicitly because with atom-bearing
+    sources duplicate values make selectability underivable from the history
+    alone).  Implementations must be permutation invariant at the value level:
+    shuffling the pool must not change the distribution of selected values.
+    """
+
+    m: int
+    q: int
+
+    def select_next(self, elements: Sequence[Element], history: History,
+                    selected: frozenset[int]) -> int:
+        raise NotImplementedError
+
+
+class StreamEmulator:
+    """Contract for stream algorithms: consume a source, return q revealed pairs."""
+
+    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+        raise NotImplementedError
+
+
+def _checked_select(alg: PoolAlgorithm, elements: Sequence[Element],
+                    history: History, selected: set[int]) -> int:
+    idx = alg.select_next(elements, history, frozenset(selected))
+    if not isinstance(idx, int) or not 0 <= idx < len(elements):
+        raise ContractViolation(f"selected index {idx!r} outside pool of size {len(elements)}")
+    if idx in selected:
+        raise ContractViolation(f"index {idx} selected twice")
+    return idx
+
+
+def interact_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair],
+                  q: int) -> list[LabeledPair]:
+    """Run the q-round pool interaction, revealing responses on selection."""
+    elements = [p.element for p in pool]
+    history: list[LabeledPair] = []
+    selected: set[int] = set()
+    for _ in range(q):
+        idx = _checked_select(alg, elements, history, selected)
+        selected.add(idx)
+        history.append(LabeledPair(pool[idx].element, pool[idx].response))
+    return history
+
+
+def run_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair], q: int) -> RunRecord:
+    """Execute a pool algorithm on a sealed pool.
+
+    The pool algorithm observes every element, so ``n_iter`` equals the pool
+    size and ``n_sel`` equals the budget.
+    """
+    m = len(pool)
+    if q > m:
+        raise ValueError(f"budget q={q} exceeds pool size m={m}")
+    if getattr(alg, "m", m) != m:
+        raise ValueError(f"pool algorithm expects m={alg.m}, got pool of size {m}")
+    history = interact_pool(alg, pool, q)
+    return RunRecord(tuple(history), n_sel=q, n_iter=m)
+
+
+def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
+               rng: np.random.Generator,
+               max_iter: int = DEFAULT_MAX_ITER) -> RunRecord:
+    """Drive a stream emulator against a lazily sampled i.i.d. source.
+
+    Raises :class:`IterationCapExceeded` if the emulator would observe more
+    than ``max_iter`` elements; the cap applies to the whole run.
+    """
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    source = StreamSource(dist, rng, max_iter)
+    output = emulator.run(source, q)
+    if len(output) != q:
+        raise ContractViolation(f"emulator returned {len(output)} pairs, expected {q}")
+    return RunRecord(tuple(output), n_sel=source.n_sel, n_iter=source.n_iter,
+                     round_attempts=getattr(emulator, "round_attempts", None))

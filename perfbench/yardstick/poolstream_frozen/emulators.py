@@ -1,0 +1,280 @@
+"""Stream emulators for black-box pool algorithms, and the greedy utility pool.
+
+Four emulation strategies with different cost profiles:
+
+* :class:`WaitEmulator` fills a virtual pool from the stream prefix, then
+  serves each pool decision by waiting for the chosen value to recur.  Exactly
+  q reveals, but the wait is unbounded over the class of discrete sources.
+* :class:`NowaitEmulator` selects the whole stream prefix and replays the pool
+  algorithm offline.  Bounded iterations (m), but m reveals.
+* :class:`RejectionEmulator` repeatedly redraws the unselected remainder of the
+  pool and keeps a draw only if replaying the pool algorithm on it reproduces
+  the committed history and selects the most recent arrival next.  Exactly q
+  reveals; expected iterations are bounded uniformly over sources but grow
+  exponentially with q.
+* :class:`SecretaryEmulator` emulates greedy utility-maximizing pools by
+  running optimal-stopping attempts per round over a shrinking score domain.
+  Expected cost linear in q; more than q reveals (failed attempts discard
+  their selection).
+
+:class:`FirstQEmulator` deliberately selects the first q stream elements; it
+is not output-equivalent to any interesting pool algorithm and serves as the
+negative control for the equivalence tests.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+
+from .core import (
+    AtomlessDistribution,
+    Element,
+    History,
+    LabeledPair,
+    PoolAlgorithm,
+    StreamEmulator,
+    StreamSource,
+    TieDetected,
+    _checked_select,
+)
+from .secretary import cached_policy
+
+#: Score function of (element, history); higher is selected first.
+UtilityFunction = Callable[[Element, History], float]
+
+
+def _score_key(utility: UtilityFunction, element: Element,
+               history: History) -> tuple[float, float]:
+    # The tie-break coordinate enters lexicographically below the score, so
+    # distinct elements never tie while the base-score ordering is preserved.
+    return (utility(element, history), element.tiebreak)
+
+
+class GreedyUtilityPool(PoolAlgorithm):
+    """Pool algorithm selecting the utility argmax each round.
+
+    ``tie_break`` is "error" (raise :class:`TieDetected`, the no-ties contract)
+    or "index" (keep the lowest pool index; value-level behavior stays
+    permutation invariant, which makes the algorithm usable on atom-bearing
+    pools where duplicate values are common).
+    """
+
+    def __init__(self, utility: UtilityFunction, m: int, q: int,
+                 tie_break: str = "error"):
+        if tie_break not in ("error", "index"):
+            raise ValueError(f"unknown tie_break {tie_break!r}")
+        self.utility = utility
+        self.m = m
+        self.q = q
+        self.tie_break = tie_break
+
+    def select_next(self, elements: Sequence[Element], history: History,
+                    selected: frozenset[int]) -> int:
+        utility = self.utility
+        best_idx = -1
+        best_key = None
+        tied = False
+        for idx, element in enumerate(elements):
+            if idx in selected:
+                continue
+            key = (utility(element, history), element.tiebreak)
+            if best_key is None or key > best_key:
+                best_idx, best_key, tied = idx, key, False
+            elif key == best_key:
+                tied = True
+        if tied and self.tie_break == "error":
+            raise TieDetected(f"two pool elements share the maximal score {best_key}")
+        return best_idx
+
+
+class FirstQEmulator(StreamEmulator):
+    """Select the first q stream elements unconditionally (negative control)."""
+
+    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+        out = []
+        for _ in range(q):
+            item = source.next()
+            out.append(LabeledPair(item.element, source.reveal(item)))
+        return tuple(out)
+
+
+class WaitEmulator(StreamEmulator):
+    """Observe a pool-sized prefix, then wait for each chosen value to recur.
+
+    Requires a source with atoms: over an atomless source no value ever
+    recurs, so the wait would only ever end at the iteration cap.
+    """
+
+    def __init__(self, pool_alg: PoolAlgorithm):
+        self.pool_alg = pool_alg
+
+    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+        if source.dist.atomless:
+            raise AtomlessDistribution(
+                "the wait emulator needs exact value recurrences; "
+                "use a source with atoms")
+        alg = self.pool_alg
+        pool = [source.next() for _ in range(alg.m)]  # sealed, never revealed
+        elements = [p.element for p in pool]
+        history: list[LabeledPair] = []
+        selected: set[int] = set()
+        for _ in range(q):
+            idx = _checked_select(alg, elements, history, selected)
+            target = elements[idx]
+            while True:
+                item = source.next()
+                if item.element == target:
+                    break
+            response = source.reveal(item)
+            selected.add(idx)
+            history.append(LabeledPair(item.element, response))
+        return tuple(history)
+
+
+class NowaitEmulator(StreamEmulator):
+    """Select the whole m-element prefix, then replay the pool algorithm offline."""
+
+    def __init__(self, pool_alg: PoolAlgorithm):
+        self.pool_alg = pool_alg
+
+    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+        alg = self.pool_alg
+        pool: list[LabeledPair] = []
+        for _ in range(alg.m):
+            item = source.next()
+            pool.append(LabeledPair(item.element, source.reveal(item)))
+        elements = [p.element for p in pool]
+        history: list[LabeledPair] = []
+        selected: set[int] = set()
+        for _ in range(q):
+            idx = _checked_select(alg, elements, history, selected)
+            selected.add(idx)
+            history.append(pool[idx])
+        return tuple(history)
+
+
+class RejectionEmulator(StreamEmulator):
+    """Emulate an arbitrary pool algorithm by rejection over pool remainders.
+
+    For round i with committed history of i-1 pairs, draw m-i+1 fresh sealed
+    elements and accept iff a replay of the pool algorithm on committed+fresh
+    (a) re-selects exactly the committed pairs in its first i-1 rounds and
+    (b) selects the last-drawn fresh element in round i.  On acceptance that
+    element is genuinely selected; rejected draws reveal nothing.
+
+    The replay serves recorded responses for committed elements.  If it picks
+    a fresh (still sealed) element early, condition (a) has already failed, so
+    the replay aborts without ever needing an unrevealed response.
+    """
+
+    def __init__(self, pool_alg: PoolAlgorithm):
+        self.pool_alg = pool_alg
+
+    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+        if not source.dist.atomless:
+            raise AtomlessDistribution(
+                "the rejection emulator assumes an atomless source")
+        alg = self.pool_alg
+        m = alg.m
+        if q > m:
+            raise ValueError(f"budget q={q} exceeds pool size m={m}")
+        committed: list[LabeledPair] = []
+        for i in range(1, q + 1):
+            width = m - i + 1
+            while True:
+                fresh = [source.next() for _ in range(width)]
+                if self._replay_accepts(committed, fresh):
+                    break
+            last = fresh[-1]
+            response = source.reveal(last)
+            committed.append(LabeledPair(last.element, response))
+        return tuple(committed)
+
+    def _replay_accepts(self, committed: list[LabeledPair],
+                        fresh: list[LabeledPair]) -> bool:
+        alg = self.pool_alg
+        k = len(committed)
+        elements = [p.element for p in committed] + [p.element for p in fresh]
+        history: list[LabeledPair] = []
+        selected: set[int] = set()
+        for _ in range(k):
+            idx = _checked_select(alg, elements, history, selected)
+            if idx >= k:
+                return False  # a sealed element was picked: history mismatch
+            selected.add(idx)
+            history.append(committed[idx])
+        # First k selections hit all k committed slots, so the replayed pairs
+        # equal the committed history as a multiset; check the round-i pick.
+        idx = _checked_select(alg, elements, history, selected)
+        return idx == len(elements) - 1
+
+
+class SecretaryEmulator(StreamEmulator):
+    """Emulate a greedy utility pool via repeated optimal-stopping attempts.
+
+    Round i runs attempts of horizon m-i+1 over stream elements filtered to
+    the current score domain.  Within an attempt, each candidate's score is
+    fed to the optimal secretary rule; when the rule fires, the candidate is
+    selected and its response revealed.  The attempt succeeds only if that
+    selection turns out to score highest among all its candidates; otherwise
+    the revealed pair is discarded and a fresh attempt starts.  After a
+    success the domain shrinks to scores strictly below the accepted one
+    (scored against the history before this round), which is what keeps the
+    output distribution aligned with the pool algorithm's.
+
+    ``round_attempts`` holds the attempt count per round of the last run.
+    """
+
+    def __init__(self, utility: UtilityFunction, m: int):
+        self.utility = utility
+        self.m = m
+        self.round_attempts: tuple[int, ...] | None = None
+
+    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+        if not source.dist.atomless:
+            raise AtomlessDistribution(
+                "the secretary emulator assumes an atomless source")
+        m = self.m
+        if q > m:
+            raise ValueError(f"budget q={q} exceeds pool size m={m}")
+        utility = self.utility
+        accepted: list[LabeledPair] = []
+        # (history snapshot, cutoff key) per finished round; an element is in
+        # the current domain iff it scores strictly below every cutoff under
+        # the matching snapshot.
+        filters: list[tuple[tuple[LabeledPair, ...], tuple[float, float]]] = []
+        attempts_log: list[int] = []
+        for i in range(1, q + 1):
+            horizon = m - i + 1
+            threshold = cached_policy(horizon).threshold
+            snapshot = tuple(accepted)
+            attempts = 0
+            while True:
+                attempts += 1
+                best_key = None
+                chosen: LabeledPair | None = None
+                chosen_key = None
+                for j in range(1, horizon + 1):
+                    while True:
+                        item = source.next()
+                        element = item.element
+                        for hist, cutoff in filters:
+                            if (utility(element, hist), element.tiebreak) >= cutoff:
+                                break
+                        else:
+                            break
+                    key = (utility(element, snapshot), element.tiebreak)
+                    if best_key is None or key > best_key:
+                        best_key = key
+                        if chosen is None and j >= threshold:
+                            response = source.reveal(item)
+                            chosen = LabeledPair(element, response)
+                            chosen_key = key
+                if chosen is not None and chosen_key == best_key:
+                    break
+                # failed attempt: any revealed pair stays counted but discarded
+            attempts_log.append(attempts)
+            filters.append((snapshot, chosen_key))
+            accepted.append(chosen)
+        self.round_attempts = tuple(attempts_log)
+        return tuple(accepted)

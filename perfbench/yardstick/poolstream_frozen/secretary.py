@@ -1,0 +1,164 @@
+"""Exact solution of the classical secretary problem.
+
+The optimal stopping rule for picking the maximum of ``n`` sequentially
+revealed distinct values in uniformly random order: observe the first
+``threshold - 1`` values, then take the first value exceeding everything seen
+so far.  Its success probability is
+
+    phi(1) = 1/n,
+    phi(r) = (r-1)/n * sum_{j=r}^{n} 1/(j-1)   for r >= 2,
+
+maximized at the unique unimodal optimum (ties broken toward smaller r).
+Both the threshold and the probability converge to 1/e as n grows.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+# Horizon up to which the optimum is computed with exact rational arithmetic.
+_EXACT_N = 256
+
+
+class InvalidHorizon(ValueError):
+    """Horizon must be a positive integer."""
+
+
+class DuplicateScore(ValueError):
+    """The no-ties assumption was violated by an observed score sequence."""
+
+
+@dataclass(frozen=True)
+class SecretaryPolicy:
+    """Observe candidates 1..threshold-1, then select the first running maximum."""
+
+    n: int
+    threshold: int
+
+
+def _phi_exact(n: int) -> list[Fraction]:
+    """phi(r) for r = 1..n, exactly."""
+    phis = [Fraction(1, n)]
+    tail = Fraction(0)
+    # Accumulate sum_{j=r}^{n} 1/(j-1) from the top down, then emit in order.
+    tails = [Fraction(0)] * (n + 2)
+    for r in range(n, 1, -1):
+        tail += Fraction(1, r - 1)
+        tails[r] = tail
+    for r in range(2, n + 1):
+        phis.append(Fraction(r - 1, n) * tails[r])
+    return phis
+
+
+def optimal_policy(n: int) -> SecretaryPolicy:
+    """The exactly optimal threshold policy for horizon ``n``."""
+    if not isinstance(n, int) or n < 1:
+        raise InvalidHorizon(f"horizon must be a positive integer, got {n!r}")
+    if n == 1:
+        return SecretaryPolicy(1, 1)
+    if n <= _EXACT_N:
+        phis = _phi_exact(n)
+        best = max(range(n), key=lambda i: (phis[i], -i))
+        return SecretaryPolicy(n, best + 1)
+    # Large n: phi is unimodal with increments of sign(T(r+1) - 1) where
+    # T(r) = H_{n-1} - H_{r-2}; the optimum is the smallest r with T(r+1) <= 1,
+    # i.e. with harmonic[n-1] - harmonic[r-1] <= 1.
+    harmonic = _harmonic_prefix(n)
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if harmonic[n - 1] - harmonic[mid - 1] <= 1.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return SecretaryPolicy(n, lo)
+
+
+def success_probability(policy: SecretaryPolicy) -> float:
+    """phi(threshold) as a float."""
+    n, r = policy.n, policy.threshold
+    _validate_policy(policy)
+    if r == 1:
+        return 1.0 / n
+    harmonic = _harmonic_prefix(n)
+    return (r - 1) / n * (harmonic[n - 1] - harmonic[r - 2])
+
+
+def success_probability_exact(policy: SecretaryPolicy) -> Fraction:
+    """phi(threshold) as an exact rational (intended for modest horizons)."""
+    n, r = policy.n, policy.threshold
+    _validate_policy(policy)
+    if r == 1:
+        return Fraction(1, n)
+    tail = sum((Fraction(1, j - 1) for j in range(r, n + 1)), Fraction(0))
+    return Fraction(r - 1, n) * tail
+
+
+def _validate_policy(policy: SecretaryPolicy) -> None:
+    if policy.n < 1 or not 1 <= policy.threshold <= policy.n:
+        raise InvalidHorizon(f"invalid policy {policy}")
+
+
+def _harmonic_prefix(n: int) -> np.ndarray:
+    """harmonic[k] = H_k = sum_{j=1}^{k} 1/j, for k = 0..n."""
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    np.cumsum(1.0 / np.arange(1, n + 1), out=out[1:])
+    return out
+
+
+def policy_table(n_max: int):
+    """Yield (n, threshold, success probability) for n = 1..n_max in O(n_max log n_max)."""
+    if n_max < 1:
+        raise InvalidHorizon(f"n_max must be positive, got {n_max}")
+    harmonic = _harmonic_prefix(n_max)
+    yield 1, 1, 1.0
+    for n in range(2, n_max + 1):
+        lo, hi = 1, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if harmonic[n - 1] - harmonic[mid - 1] <= 1.0:
+                hi = mid
+            else:
+                lo = mid + 1
+        r = lo
+        if n <= _EXACT_N:
+            r = optimal_policy(n).threshold  # exact tie handling near the flip
+        p = 1.0 / n if r == 1 else (r - 1) / n * (harmonic[n - 1] - harmonic[r - 2])
+        yield n, r, p
+
+
+@lru_cache(maxsize=None)
+def cached_policy(n: int) -> SecretaryPolicy:
+    return optimal_policy(n)
+
+
+def secpr(policy: SecretaryPolicy, prefix_scores: Sequence) -> bool:
+    """Does the optimal policy select the last score of this prefix?
+
+    True iff the prefix length k is at least the threshold, the final score is
+    a running maximum, and the policy had not already stopped at an earlier
+    running maximum past the observation phase.  Scores may be any mutually
+    comparable keys; equal scores violate the no-ties assumption.
+    """
+    k = len(prefix_scores)
+    if not 1 <= k <= policy.n:
+        raise InvalidHorizon(f"prefix length {k} outside [1, {policy.n}]")
+    if len(set(prefix_scores)) != k:
+        raise DuplicateScore("tied scores in secretary prefix")
+    r = policy.threshold
+    if k < r:
+        return False
+    best = None
+    for j, score in enumerate(prefix_scores, start=1):
+        is_record = best is None or score > best
+        if is_record:
+            best = score
+            if j >= r:
+                return j == k
+    return False
