@@ -10,7 +10,6 @@ verify the equivalence and the emulation cost.
 
 from .core import (
     DEFAULT_MAX_ITER,
-    STAR,
     AtomlessDistribution,
     ContractViolation,
     DiscreteMarginal,

@@ -15,14 +15,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
 
 DEFAULT_MAX_ITER = 10**8
-
-#: Sentinel response meaning "not yet revealed".  Never appears in an output.
-STAR = None
 
 _PROB_TOL = 1e-12
 
@@ -160,6 +158,19 @@ class SourceDistribution:
             return float(self.response_one)
         return None
 
+    @cached_property
+    def sampling_table(self) -> tuple:
+        """``(symbols, cum, pieces)`` for drawing a base from one uniform.
+
+        ``cum`` holds the cumulative masses; ``symbols`` is set for a discrete
+        marginal and ``pieces`` for an interval one, the other is None.
+        """
+        marginal = self.marginal
+        if isinstance(marginal, DiscreteMarginal):
+            return marginal.symbols, np.cumsum(marginal.probs).tolist(), None
+        cum = np.cumsum([p[2] for p in marginal.pieces]).tolist()
+        return None, cum, marginal.pieces
+
     def prob_one(self, base: float) -> float:
         law = self.response_one
         if isinstance(law, (int, float)):
@@ -190,13 +201,125 @@ def point_mass(symbol: float, *, response_one: ResponseLawLike = 0.0) -> SourceD
                               response_one, atomless=False)
 
 
+# numpy's SeedSequence hash (bit_generator.pyx); NEP 19 keeps it stable.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+#: Trials whose PCG64 seed words are derived together.  It divides 2**32, so
+#: all trials of an aligned block split into the same number of 32-bit words.
+_TRIAL_BLOCK = 1024
+
+
+def _int_words(n: int) -> list[int]:
+    """``n >= 0`` as little-endian 32-bit words, as SeedSequence splits entropy."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+@lru_cache(maxsize=8)
+def _trial_seed_words(seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of trials ``block*1024 ..`` ``block*1024 + 1023``.
+
+    Row ``i`` equals ``SeedSequence([seed, block*1024 + i]).generate_state(4,
+    np.uint64)``: the SeedSequence entropy mix and output hash, run on uint32
+    arrays over the whole block.  Within an aligned block only the trial's low
+    word varies, and it never carries into the high words.
+    """
+    first = block * _TRIAL_BLOCK
+    trial_words = _int_words(first)
+
+    def column(word: int) -> np.ndarray:
+        return np.full(_TRIAL_BLOCK, word, dtype=np.uint32)
+
+    low = np.uint32(trial_words[0]) + np.arange(_TRIAL_BLOCK, dtype=np.uint32)
+    entropy = ([column(w) for w in _int_words(seed)] + [low]
+               + [column(w) for w in trial_words[1:]])
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else column(0))
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    state = np.empty((_TRIAL_BLOCK, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ (value >> 16)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False  # shared by every caller of the cache
+    return words
+
+
+@lru_cache(maxsize=None)
+def _trial_seed_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 precomputed seed words.
+
+    PCG64 accepts only ``ISeedSequence`` instances in place of a SeedSequence.
+    The class is made on first use because defining it imports numpy.random,
+    which ``import poolstream`` does not otherwise need.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class TrialSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+                raise ValueError("a trial seed only holds PCG64's four uint64 words")
+            return self._words
+
+        def __reduce__(self):
+            return _trial_seed, (self._words,)
+
+    return TrialSeed
+
+
+def _trial_seed(words: np.ndarray):
+    return _trial_seed_type()(words)
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Derive the independent RNG sub-stream for one trial.
 
     Streams are keyed by (seed, trial) so trials are order-independent and may
-    run concurrently.
+    run concurrently.  The stream equals numpy's
+    ``default_rng(SeedSequence([seed, trial]))``; the seed words are derived
+    for 1024 trials at a time, which is most of what that call costs.
     """
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
+    seed, trial = int(seed), int(trial)
+    if seed < 0 or trial < 0:
+        raise ValueError("expected non-negative integer")
+    block, i = divmod(trial, _TRIAL_BLOCK)
+    words = _trial_seed_words(seed, block)[i]
+    return np.random.Generator(np.random.PCG64(_trial_seed(words)))
 
 
 def sample_element(dist: SourceDistribution, rng: np.random.Generator) -> LabeledPair:
@@ -205,7 +328,7 @@ def sample_element(dist: SourceDistribution, rng: np.random.Generator) -> Labele
     The response is sampled jointly with the element but is meant to stay
     hidden until a run loop selects the element.
     """
-    base = _draw_base(dist, rng.random())
+    base = _draw_base(dist.sampling_table, rng.random())
     tiebreak = float(rng.random()) if dist.atomless else 0.0
     p1 = dist.prob_one(base)
     if p1 <= 0.0:
@@ -222,17 +345,19 @@ def sample_pool(dist: SourceDistribution, m: int, rng: np.random.Generator) -> l
     return [sample_element(dist, rng) for _ in range(m)]
 
 
-def _draw_base(dist: SourceDistribution, u: float) -> float:
-    marginal = dist.marginal
-    if isinstance(marginal, DiscreteMarginal):
-        cum = np.cumsum(marginal.probs).tolist()
-        idx = min(bisect_right(cum, u), len(cum) - 1)
-        return marginal.symbols[idx]
-    cum = np.cumsum([p[2] for p in marginal.pieces]).tolist()
+def _draw_base(table: tuple, u: float) -> float:
+    """The base that uniform ``u`` selects from a ``sampling_table``."""
+    symbols, cum, pieces = table
     idx = min(bisect_right(cum, u), len(cum) - 1)
-    lo, hi, mass = marginal.pieces[idx]
+    if pieces is None:
+        return symbols[idx]
+    lo, hi, mass = pieces[idx]
     frac = min(max((u - (cum[idx] - mass)) / mass, 0.0), 1.0)
     return lo + frac * (hi - lo)
+
+
+#: First and largest uniform block a :class:`StreamSource` draws.
+_FIRST_BLOCK, _MAX_BLOCK = 64, 4096
 
 
 class StreamSource:
@@ -240,17 +365,20 @@ class StreamSource:
 
     The single point where responses become visible is :meth:`reveal`, which
     also increments ``n_sel``; emulators must never read a sealed response
-    directly.  Draws are buffered in blocks for speed, so the raw uniform
-    sequence differs from repeated :func:`sample_element` calls, but each
-    construction is deterministic given its generator state.
+    directly.  Uniforms are drawn in blocks that start at 64 and double up to
+    4096, so a short run draws few.  PCG64 doubles concatenate across calls,
+    so the uniforms are the generator's own sequence whatever the block
+    sizes; the generator's state runs ahead of the uniforms used.  A
+    non-constant response law draws a uniform for every pair, so pairs can
+    differ from repeated :func:`sample_element` calls, but each construction
+    is deterministic given its generator state.
     """
 
     __slots__ = ("dist", "max_iter", "n_iter", "n_sel", "_rng", "_buf", "_pos",
-                 "_block", "_symbols", "_cum", "_pieces", "_atomless",
-                 "_law_const", "_revealed")
+                 "_block", "_table", "_atomless", "_law_const", "_revealed")
 
     def __init__(self, dist: SourceDistribution, rng: np.random.Generator,
-                 max_iter: int = DEFAULT_MAX_ITER, block: int = 4096):
+                 max_iter: int = DEFAULT_MAX_ITER):
         self.dist = dist
         self.max_iter = max_iter
         self.n_iter = 0
@@ -258,29 +386,21 @@ class StreamSource:
         self._rng = rng
         self._buf: list[float] = []
         self._pos = 0
-        self._block = block
+        self._block = _FIRST_BLOCK
+        self._table = dist.sampling_table
         self._atomless = dist.atomless
-        marginal = dist.marginal
-        if isinstance(marginal, DiscreteMarginal):
-            self._symbols = marginal.symbols
-            self._cum = np.cumsum(marginal.probs).tolist()
-            self._pieces = None
-        else:
-            self._symbols = None
-            cum = np.cumsum([p[2] for p in marginal.pieces]).tolist()
-            self._cum = cum
-            self._pieces = marginal.pieces
-        const = dist.constant_response
         # 0.0/1.0 constants need no draw; anything else draws one uniform.
-        self._law_const = const
+        self._law_const = dist.constant_response
         self._revealed: list[LabeledPair] = []
 
     def _uniform(self) -> float:
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):
-            buf = self._rng.random(self._block).tolist()
+            block = self._block
+            buf = self._rng.random(block).tolist()
             self._buf = buf
+            self._block = min(2 * block, _MAX_BLOCK)
             pos = 0
         self._pos = pos + 1
         return buf[pos]
@@ -291,16 +411,7 @@ class StreamSource:
             raise IterationCapExceeded(self.max_iter, self.n_iter, self.n_sel,
                                        tuple(self._revealed))
         self.n_iter += 1
-        u = self._uniform()
-        if self._symbols is not None:
-            idx = min(bisect_right(self._cum, u), len(self._cum) - 1)
-            base = self._symbols[idx]
-        else:
-            idx = min(bisect_right(self._cum, u), len(self._cum) - 1)
-            lo, hi, mass = self._pieces[idx]
-            before = self._cum[idx] - mass
-            frac = min(max((u - before) / mass, 0.0), 1.0)
-            base = lo + frac * (hi - lo)
+        base = _draw_base(self._table, self._uniform())
         tiebreak = self._uniform() if self._atomless else 0.0
         const = self._law_const
         if const == 0.0:
@@ -337,10 +448,6 @@ class RunRecord:
     n_sel: int
     n_iter: int
     round_attempts: tuple[int, ...] | None = None
-
-    @property
-    def output_multiset(self) -> tuple[LabeledPair, ...]:
-        return tuple(sorted(self.output))
 
 
 class PoolAlgorithm:

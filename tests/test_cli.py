@@ -1,5 +1,7 @@
 """CLI surface: subcommands, CSV schema, determinism, exit codes."""
 
+import hashlib
+
 import pytest
 
 from poolstream import cli
@@ -216,3 +218,31 @@ class TestHypothesisFixture:
         assert run_cli(["iter-bench", "--fixture", "ex1-hypotheses",
                         "--emulator", "wait", "--m", "60", "--q", "3",
                         "--variant", "8", "--trials", "10"]) == 1
+
+
+# sha256 of the README's CLI examples at small trial counts.  Any change to a
+# seeded stream (trial RNG derivation, uniform buffering, sampling) changes
+# these bytes; such a change must be deliberate and explained.
+GOLDEN_CSV = {
+    "equiv-test": (["equiv-test", "--fixture", "greedy-max-discrete", "--emulator",
+                    "gen", "--m", "4", "--q", "2", "--trials", "2000", "--seed", "1",
+                    "--tv-threshold", "0.05"],
+                   "d13adecf5b3281542ada5b7aaaea047ab631fecd45b671995694a848c2d9cd99"),
+    "iter-bench": (["iter-bench", "--fixture", "greedy-max", "--emulator",
+                    "utility-stream", "--m", "10", "--q", "5", "--trials", "300",
+                    "--seed", "1"],
+                   "1b0f88281e9a3c7eb41249e1d2d1ae903c1ee398aecef8dd887af6838a789259"),
+    "secretary-table": (["secretary-table", "--n-max", "1000"],
+                        "287579a112b2132023bdba051e84d46eba8f1cc4635f10e0c434175242c41981"),
+    "lowerbound-demo": (["lowerbound-demo", "--fixture", "thm6-chain", "--q", "2",
+                         "--m-grid", "8,16,24", "--trials", "200", "--seed", "1"],
+                        "391440ee21140e842f5d981f345ef49b61ed5766189c6aae422452cb2434e627"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_golden_csv_digest(name, tmp_path):
+    args, digest = GOLDEN_CSV[name]
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

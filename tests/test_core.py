@@ -1,7 +1,12 @@
 """Core protocol tests: sampling, pool runs, stream runs, determinism."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import poolstream as ps
@@ -74,6 +79,15 @@ class TestSampling:
         highs = sum(ps.sample_element(dist, rng).element.base > 1.0
                     for _ in range(10**5))
         assert abs(highs / 10**5 - 0.25) < 0.01
+
+    @pytest.mark.parametrize("dist", [ps.uniform_symbols(3), ps.two_region_marginal(4)],
+                             ids=["symbols", "pieces"])
+    def test_sample_element_and_stream_source_agree(self, dist):
+        # One uniform per pair in both samplers, so the pairs must coincide.
+        rng = ps.trial_rng(13, 0)
+        direct = [ps.sample_element(dist, rng) for _ in range(300)]
+        src = StreamSource(dist, ps.trial_rng(13, 0))
+        assert [src.next() for _ in range(300)] == direct
 
     def test_stream_source_matches_marginal(self):
         dist = ps.uniform_symbols(2)
@@ -211,3 +225,53 @@ def test_run_record_invariants_hold_across_emulators():
             assert all(p.response in (0, 1) for p in record.output)
             # selection without replacement: no element reused
             assert len({p.element for p in record.output}) == 2
+
+
+class TestTrialRng:
+    # 2**96 + 7 makes more entropy words than SeedSequence's 4-word pool.
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1, 2**96 + 7)
+    TRIALS = (0, 1, 1023, 1024, 1025, 2**32 - 1, 2**32, 2**32 + 5)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equals_numpy_seed_sequence_stream(self, seed):
+        for trial in self.TRIALS:
+            expected = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+            assert np.array_equal(ps.trial_rng(seed, trial).random(64),
+                                  expected.random(64)), (seed, trial)
+
+    @pytest.mark.parametrize("seed,trial", [(-1, 0), (0, -1), (-5, -5)])
+    def test_negative_inputs_raise(self, seed, trial):
+        with pytest.raises(ValueError):
+            ps.trial_rng(seed, trial)
+
+    def test_pickled_generator_continues_the_stream(self):
+        rng = ps.trial_rng(14, 3)
+        rng.random(5)
+        copy = pickle.loads(pickle.dumps(rng))
+        assert np.array_equal(copy.random(8), rng.random(8))
+
+
+def test_stream_source_blocks_concatenate():
+    # Three uniforms per pair: 2000 pairs cross every block size from 64 up
+    # to the 4096 cap, and must match one undivided draw.
+    dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
+    src = StreamSource(dist, ps.trial_rng(15, 2))
+    uniforms = iter(ps.trial_rng(15, 2).random(6000).tolist())
+    symbols, cum, _ = dist.sampling_table
+    expected = []
+    for _ in range(2000):
+        base = symbols[min(np.searchsorted(cum, next(uniforms), "right"), 2)]
+        tiebreak = next(uniforms)
+        response = int(next(uniforms) < BERNOULLI[base])
+        expected.append(ps.LabeledPair(ps.Element(base, tiebreak), response))
+    assert [src.next() for _ in range(2000)] == expected
+
+
+def test_import_does_not_load_numpy_random():
+    package_root = os.path.dirname(os.path.dirname(ps.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, poolstream; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
