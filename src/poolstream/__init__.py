@@ -27,7 +27,6 @@ from .core import (
     point_mass,
     run_pool,
     run_stream,
-    sample_element,
     sample_pool,
     trial_rng,
     uniform_interval,

@@ -23,7 +23,6 @@ import csv
 import io
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,6 +62,7 @@ from .stats import (
     OutcomeDistribution,
     RankPattern,
     TooLargeToEnumerate,
+    empirical_distribution,
     exact_pool_distribution,
     mean_ci,
     tv_distance,
@@ -191,40 +191,40 @@ def _emit(out_path: str | None, meta: dict, header: list[str],
         sys.stdout.write(text)
 
 
-def _collect_trials(emulator, dist, q, seed, trials, max_iter):
-    """Run seeded trials; return (records, failed_count).
+def run_trials(emulator: StreamEmulator, dist: SourceDistribution, q: int,
+               seed: int, trials: int, max_iter: int = DEFAULT_MAX_ITER) -> tuple:
+    """Run trials ``0..trials-1`` on their seeded streams; return (records, failures).
 
-    Iteration-capped trials and learner runs on pools missing their query
-    path count as failures; they are reported, never silently dropped.
+    ``failures`` lists ``(trial, error)`` for iteration-capped trials and for
+    learner runs on pools missing their query path; they are reported, never
+    silently dropped.
     """
     records = []
-    failed = 0
+    failures = []
     for t in range(trials):
         try:
             records.append(run_stream(emulator, dist, q, trial_rng(seed, t), max_iter))
-        except (IterationCapExceeded, IncompletePool):
-            failed += 1
-    return records, failed
+        except (IterationCapExceeded, IncompletePool) as exc:
+            # Without its traceback the error no longer pins the run's frames.
+            failures.append((t, exc.with_traceback(None)))
+    return records, failures
 
 
 def cmd_equiv_test(cfg: dict) -> int:
     fixture = build_fixture(cfg["fixture"], cfg["m"], cfg["q"], cfg["variant"])
     emulator = build_emulator(cfg["emulator"], fixture)
     exact = fixture.exact()
-    records, failed = _collect_trials(
+    records, failures = run_trials(
         emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"], cfg["max_iter"])
-    counts = Counter(fixture.canonicalizer(r) for r in records)
-    n_ok = len(records)
-    empirical = OutcomeDistribution(
-        {k: v / n_ok for k, v in counts.items()} if n_ok else {},
-        "empirical", fixture.canonicalizer.label, n_ok)
+    empirical = empirical_distribution(records, fixture.canonicalizer)
     tv = tv_distance(exact, empirical)
     status = "PASS" if tv <= cfg["tv_threshold"] else "FAIL"
     rows = []
     for outcome in sorted(exact.support.keys() | empirical.support.keys(), key=str):
         rows.append(["outcome", str(outcome), exact.mass(outcome),
                      empirical.mass(outcome), None, None, None, None])
-    rows.append(["summary", None, None, None, tv, cfg["tv_threshold"], status, failed])
+    rows.append(["summary", None, None, None, tv, cfg["tv_threshold"], status,
+                 len(failures)])
     _emit(cfg["out"], _meta(cfg), ["row_type", "outcome_id", "exact_mass",
                                    "empirical_mass", "tv", "threshold",
                                    "status", "failed_trials"], rows)
@@ -247,7 +247,7 @@ def _utility_iter_bound(m: int, q: int) -> float | None:
 def cmd_iter_bench(cfg: dict) -> int:
     fixture = build_fixture(cfg["fixture"], cfg["m"], cfg["q"], cfg["variant"])
     emulator = build_emulator(cfg["emulator"], fixture)
-    records, failed = _collect_trials(
+    records, failures = run_trials(
         emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"], cfg["max_iter"])
     if len(records) < 2:
         print("error: fewer than two uncapped trials", file=sys.stderr)
@@ -255,10 +255,10 @@ def cmd_iter_bench(cfg: dict) -> int:
     m, q = cfg["m"], cfg["q"]
     name = cfg["emulator"]
     rows = []
-    failures = 0
+    violations = 0
 
     def add_row(metric, samples, reference=None, bound=None):
-        nonlocal failures
+        nonlocal violations
         est = mean_ci(samples)
         status = ""
         if bound is not None:
@@ -267,8 +267,8 @@ def cmd_iter_bench(cfg: dict) -> int:
             # exceeds it half the time by noise alone.
             status = "OK" if est.lower <= bound else "VIOLATION"
             if status == "VIOLATION":
-                failures += 1
-        rows.append([metric, est.mean, est.half_width, est.trials, failed,
+                violations += 1
+        rows.append([metric, est.mean, est.half_width, est.trials, len(failures),
                      reference, bound, status])
 
     iter_bound = None
@@ -295,7 +295,7 @@ def cmd_iter_bench(cfg: dict) -> int:
     _emit(cfg["out"], _meta(cfg), ["metric", "mean", "ci_half", "trials",
                                    "failed_trials", "reference", "bound",
                                    "status"], rows)
-    return 2 if failures else 0
+    return 2 if violations else 0
 
 
 def cmd_secretary_table(cfg: dict) -> int:
@@ -317,12 +317,12 @@ def cmd_lowerbound_demo(cfg: dict) -> int:
     grid = cfg["m_grid"] or [cfg["m"]]
     q = cfg["q"]
     rows = []
-    failures = 0
+    violations = 0
     for m in grid:
         fixture = build_fixture(name, m, q, cfg["variant"])
         emulator_name = "gen" if name == "thm3-good-pool" else "utility-stream"
         emulator = build_emulator(emulator_name, fixture)
-        records, failed = _collect_trials(
+        records, failures = run_trials(
             emulator, fixture.dist, q, cfg["seed"], cfg["trials"], cfg["max_iter"])
         if len(records) < 2:
             print(f"error: fewer than two uncapped trials at m={m}", file=sys.stderr)
@@ -333,15 +333,15 @@ def cmd_lowerbound_demo(cfg: dict) -> int:
             bound = q * n / 8.0
             status = "OK" if est.mean >= bound else "VIOLATION"
             if status == "VIOLATION":
-                failures += 1
+                violations += 1
         else:
             n, bound, status = None, None, ""
-        rows.append([m, n, est.mean, est.half_width, est.trials, failed,
+        rows.append([m, n, est.mean, est.half_width, est.trials, len(failures),
                      bound, status])
     _emit(cfg["out"], _meta(cfg), ["m", "alphabet_n", "mean_n_iter", "ci_half",
                                    "trials", "failed_trials", "lower_bound",
                                    "status"], rows)
-    return 2 if failures else 0
+    return 2 if violations else 0
 
 
 _COMMANDS = {

@@ -322,29 +322,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_trial_seed(words)))
 
 
-def sample_element(dist: SourceDistribution, rng: np.random.Generator) -> LabeledPair:
-    """Draw one sealed (element, response) pair from the source law.
-
-    The response is sampled jointly with the element but is meant to stay
-    hidden until a run loop selects the element.
-    """
-    base = _draw_base(dist.sampling_table, rng.random())
-    tiebreak = float(rng.random()) if dist.atomless else 0.0
-    p1 = dist.prob_one(base)
-    if p1 <= 0.0:
-        response = 0
-    elif p1 >= 1.0:
-        response = 1
-    else:
-        response = int(rng.random() < p1)
-    return LabeledPair(Element(base, tiebreak), response)
-
-
-def sample_pool(dist: SourceDistribution, m: int, rng: np.random.Generator) -> list[LabeledPair]:
-    """Draw an i.i.d. pool of ``m`` sealed pairs."""
-    return [sample_element(dist, rng) for _ in range(m)]
-
-
 def _draw_base(table: tuple, u: float) -> float:
     """The base that uniform ``u`` selects from a ``sampling_table``."""
     symbols, cum, pieces = table
@@ -369,13 +346,16 @@ class StreamSource:
     4096, so a short run draws few.  PCG64 doubles concatenate across calls,
     so the uniforms are the generator's own sequence whatever the block
     sizes; the generator's state runs ahead of the uniforms used.  A
-    non-constant response law draws a uniform for every pair, so pairs can
-    differ from repeated :func:`sample_element` calls, but each construction
-    is deterministic given its generator state.
+    non-constant response law draws a uniform for every pair.
+
+    ``round_attempts`` is where an emulator that works in rounds leaves its
+    per-round attempt counts (only :class:`~poolstream.emulators.SecretaryEmulator`
+    does); :func:`run_stream` copies it into the :class:`RunRecord`.
     """
 
-    __slots__ = ("dist", "max_iter", "n_iter", "n_sel", "_rng", "_buf", "_pos",
-                 "_block", "_table", "_atomless", "_law_const", "_revealed")
+    __slots__ = ("dist", "max_iter", "n_iter", "n_sel", "round_attempts", "_rng",
+                 "_buf", "_pos", "_block", "_table", "_atomless", "_law_const",
+                 "_revealed")
 
     def __init__(self, dist: SourceDistribution, rng: np.random.Generator,
                  max_iter: int = DEFAULT_MAX_ITER):
@@ -383,6 +363,7 @@ class StreamSource:
         self.max_iter = max_iter
         self.n_iter = 0
         self.n_sel = 0
+        self.round_attempts: tuple[int, ...] | None = None
         self._rng = rng
         self._buf: list[float] = []
         self._pos = 0
@@ -434,14 +415,21 @@ class StreamSource:
         return tuple(self._revealed)
 
 
+def sample_pool(dist: SourceDistribution, m: int, rng: np.random.Generator) -> list[LabeledPair]:
+    """Draw an i.i.d. pool of ``m`` sealed pairs through a :class:`StreamSource`."""
+    source = StreamSource(dist, rng)
+    return [source.next() for _ in range(m)]
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One run's output plus its cost counters.
 
     ``output`` keeps selection order; compare as an unordered multiset when
     order is immaterial.  Invariants: ``len(output) == q``, every response is
-    revealed, and ``n_iter >= n_sel >= q``.  ``round_attempts`` is a per-round
-    diagnostic emitted by the secretary-based emulator; None elsewhere.
+    revealed, and ``n_iter >= n_sel >= q``.  ``round_attempts`` is the run's
+    ``StreamSource.round_attempts``: per-round attempt counts from the
+    secretary-based emulator, None elsewhere.
     """
 
     output: tuple[LabeledPair, ...]
@@ -495,7 +483,7 @@ def interact_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair],
     for _ in range(q):
         idx = _checked_select(alg, elements, history, selected)
         selected.add(idx)
-        history.append(LabeledPair(pool[idx].element, pool[idx].response))
+        history.append(pool[idx])
     return history
 
 
@@ -529,4 +517,4 @@ def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
     if len(output) != q:
         raise ContractViolation(f"emulator returned {len(output)} pairs, expected {q}")
     return RunRecord(tuple(output), n_sel=source.n_sel, n_iter=source.n_iter,
-                     round_attempts=getattr(emulator, "round_attempts", None))
+                     round_attempts=source.round_attempts)

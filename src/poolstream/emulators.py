@@ -36,6 +36,7 @@ from .core import (
     StreamSource,
     TieDetected,
     _checked_select,
+    interact_pool,
 )
 from .secretary import cached_policy
 
@@ -138,19 +139,11 @@ class NowaitEmulator(StreamEmulator):
         self.pool_alg = pool_alg
 
     def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
-        alg = self.pool_alg
-        pool: list[LabeledPair] = []
-        for _ in range(alg.m):
+        pool = []
+        for _ in range(self.pool_alg.m):
             item = source.next()
             pool.append(LabeledPair(item.element, source.reveal(item)))
-        elements = [p.element for p in pool]
-        history: list[LabeledPair] = []
-        selected: set[int] = set()
-        for _ in range(q):
-            idx = _checked_select(alg, elements, history, selected)
-            selected.add(idx)
-            history.append(pool[idx])
-        return tuple(history)
+        return tuple(interact_pool(self.pool_alg, pool, q))
 
 
 class RejectionEmulator(StreamEmulator):
@@ -222,13 +215,13 @@ class SecretaryEmulator(StreamEmulator):
     (scored against the history before this round), which is what keeps the
     output distribution aligned with the pool algorithm's.
 
-    ``round_attempts`` holds the attempt count per round of the last run.
+    The attempt count per round goes to ``source.round_attempts``; the
+    emulator itself keeps no per-run state.
     """
 
     def __init__(self, utility: UtilityFunction, m: int):
         self.utility = utility
         self.m = m
-        self.round_attempts: tuple[int, ...] | None = None
 
     def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
         if not source.dist.atomless:
@@ -276,5 +269,5 @@ class SecretaryEmulator(StreamEmulator):
             attempts_log.append(attempts)
             filters.append((snapshot, chosen_key))
             accepted.append(chosen)
-        self.round_attempts = tuple(attempts_log)
+        source.round_attempts = tuple(attempts_log)
         return tuple(accepted)

@@ -65,10 +65,16 @@ def optimal_policy(n: int) -> SecretaryPolicy:
         phis = _phi_exact(n)
         best = max(range(n), key=lambda i: (phis[i], -i))
         return SecretaryPolicy(n, best + 1)
-    # Large n: phi is unimodal with increments of sign(T(r+1) - 1) where
-    # T(r) = H_{n-1} - H_{r-2}; the optimum is the smallest r with T(r+1) <= 1,
-    # i.e. with harmonic[n-1] - harmonic[r-1] <= 1.
-    harmonic = _harmonic_prefix(n)
+    return SecretaryPolicy(n, _threshold(_harmonic_prefix(n), n))
+
+
+def _threshold(harmonic: np.ndarray, n: int) -> int:
+    """The optimal threshold for horizon ``n >= 2`` by bisection in floats.
+
+    phi is unimodal with increments of sign(T(r+1) - 1) where
+    T(r) = H_{n-1} - H_{r-2}; the optimum is the smallest r with T(r+1) <= 1,
+    i.e. with harmonic[n-1] - harmonic[r-1] <= 1.
+    """
     lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi) // 2
@@ -76,17 +82,20 @@ def optimal_policy(n: int) -> SecretaryPolicy:
             hi = mid
         else:
             lo = mid + 1
-    return SecretaryPolicy(n, lo)
+    return lo
+
+
+def _phi(harmonic: np.ndarray, n: int, r: int) -> float:
+    """phi(r) for horizon ``n`` as a float; ``harmonic`` reaches at least H_n."""
+    if r == 1:
+        return 1.0 / n
+    return (r - 1) / n * (harmonic[n - 1] - harmonic[r - 2])
 
 
 def success_probability(policy: SecretaryPolicy) -> float:
     """phi(threshold) as a float."""
-    n, r = policy.n, policy.threshold
     _validate_policy(policy)
-    if r == 1:
-        return 1.0 / n
-    harmonic = _harmonic_prefix(n)
-    return (r - 1) / n * (harmonic[n - 1] - harmonic[r - 2])
+    return _phi(_harmonic_prefix(policy.n), policy.n, policy.threshold)
 
 
 def success_probability_exact(policy: SecretaryPolicy) -> Fraction:
@@ -117,20 +126,10 @@ def policy_table(n_max: int):
     if n_max < 1:
         raise InvalidHorizon(f"n_max must be positive, got {n_max}")
     harmonic = _harmonic_prefix(n_max)
-    yield 1, 1, 1.0
-    for n in range(2, n_max + 1):
-        lo, hi = 1, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if harmonic[n - 1] - harmonic[mid - 1] <= 1.0:
-                hi = mid
-            else:
-                lo = mid + 1
-        r = lo
-        if n <= _EXACT_N:
-            r = optimal_policy(n).threshold  # exact tie handling near the flip
-        p = 1.0 / n if r == 1 else (r - 1) / n * (harmonic[n - 1] - harmonic[r - 2])
-        yield n, r, p
+    for n in range(1, n_max + 1):
+        # Exact arithmetic settles ties near the flip for small horizons.
+        r = optimal_policy(n).threshold if n <= _EXACT_N else _threshold(harmonic, n)
+        yield n, r, _phi(harmonic, n, r)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ empirical distributions live on a common finite support:
   sharper than the set-level one (the emulators match round by round).
 
 Exact distributions come from brute-force enumeration of small instances;
-empirical ones from seeded trial batches; they are compared by total
+empirical ones from batches of runs; they are compared by total
 variation distance with thresholds set by sampling-noise bounds.
 """
 
@@ -141,21 +141,16 @@ def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return 0.5 * sum(abs(p.mass(k) - q.mass(k)) for k in keys)
 
 
-def empirical_distribution(runner: Callable[[int], PairsLike], trials: int,
+def empirical_distribution(runs: Sequence[PairsLike],
                            canonicalizer: Canonicalizer) -> OutcomeDistribution:
-    """Canonical outcome frequencies over independently seeded trials."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    counts: Counter[Outcome] = Counter()
-    for t in range(trials):
-        try:
-            counts[canonicalizer(runner(t))] += 1
-        except EmulationError as exc:
-            exc.trial_index = t
-            raise
-    scale = 1.0 / trials
-    return OutcomeDistribution({k: v * scale for k, v in counts.items()},
-                               "empirical", canonicalizer.label, trials)
+    """Canonical outcome frequencies over a batch of runs.
+
+    An empty batch gives an empty support with ``trials=0``.
+    """
+    n = len(runs)
+    counts = Counter(canonicalizer(run) for run in runs)
+    return OutcomeDistribution({k: v / n for k, v in counts.items()},
+                               "empirical", canonicalizer.label, n)
 
 
 def _branch_runs(alg: PoolAlgorithm, elements: list[Element], q: int,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import poolstream as ps
+from poolstream.cli import run_trials
 from poolstream.secretary import optimal_policy, success_probability, \
     success_probability_exact
 
@@ -34,13 +35,9 @@ def greedy(m, q, **kw):
 
 
 def batch(emulator, dist, q, seed, trials):
-    return [ps.run_stream(emulator, dist, q, ps.trial_rng(seed, t))
-            for t in range(trials)]
-
-
-def empirical(records, canon):
-    out = ps.empirical_distribution(lambda t: records[t], len(records), canon)
-    return out
+    records, failures = run_trials(emulator, dist, q, seed, trials)
+    assert not failures
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +126,7 @@ def test_criterion_3_utility_stream_equivalence(utility_batches):
     worst = 0.0
     for m, q in ((3, 1), (4, 2), (5, 2)):
         exact = ps.exact_pool_distribution(greedy(m, q), ps.uniform_interval(), m, q)
-        emp = empirical(utility_batches[(m, q)], canon)
+        emp = ps.empirical_distribution(utility_batches[(m, q)], canon)
         worst = max(worst, ps.tv_distance(exact, emp))
     report(3, worst <= 0.02,
            "utility-stream vs exact pool rank distribution, TV <= 0.02",
@@ -145,11 +142,12 @@ def test_criterion_4_rejection_equivalence(rejection_batches):
     worst = 0.0
     for m, q in ((3, 1), (4, 2)):
         exact = ps.exact_pool_distribution(greedy(m, q), discrete, m, q)
-        emp = empirical(rejection_batches[("greedy", m, q)], ps.DiscreteProjection())
+        emp = ps.empirical_distribution(rejection_batches[("greedy", m, q)],
+                                        ps.DiscreteProjection())
         worst = max(worst, ps.tv_distance(exact, emp))
         exact2 = ps.two_region_exact_distribution(m, q)
-        emp2 = empirical(rejection_batches[("coded", m, q)],
-                         ps.two_region_rank_pattern())
+        emp2 = ps.empirical_distribution(rejection_batches[("coded", m, q)],
+                                         ps.two_region_rank_pattern())
         worst = max(worst, ps.tv_distance(exact2, emp2))
     report(4, worst <= 0.02,
            "rejection emulator vs exact pool distributions, TV <= 0.02",

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+import poolstream as ps
 from poolstream import cli
 
 
@@ -72,6 +73,18 @@ class TestEquivTest:
                         "utility-stream", "--m", "3", "--q", "1",
                         "--trials", "1000", "--seed", "7", "--out", str(out)])
         assert code == 0
+
+    def test_all_trials_capped(self, tmp_path):
+        # Every trial hits the cap, so the empirical side is empty.
+        out = tmp_path / "capped.csv"
+        code = run_cli(["equiv-test", "--fixture", "greedy-max-discrete",
+                        "--emulator", "gen", "--m", "4", "--q", "2", "--trials", "5",
+                        "--seed", "1", "--max-iter", "3", "--out", str(out)])
+        assert code == 2
+        _, _, rows = read_rows(out)
+        summary = [r for r in rows if r["row_type"] == "summary"][0]
+        assert (summary["tv"], summary["status"], summary["failed_trials"]) == (
+            "0.5", "FAIL", "5")
 
     def test_wait_on_atoms_fixture(self, tmp_path):
         out = tmp_path / "wait.csv"
@@ -176,6 +189,9 @@ class TestConfigAndErrors:
     def test_unknown_fixture_is_config_error(self):
         assert run_cli(["equiv-test", "--fixture", "nope"]) == 1
 
+    def test_zero_trials_is_config_error(self):
+        assert run_cli(["equiv-test", "--trials", "0"]) == 1
+
     def test_budget_above_pool_is_config_error(self):
         assert run_cli(["equiv-test", "--m", "2", "--q", "5"]) == 1
 
@@ -193,6 +209,17 @@ class TestConfigAndErrors:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just a line without equals\n")
         assert run_cli(["equiv-test", "--config", str(cfg)]) == 1
+
+
+class TestRunTrials:
+    def test_capped_trials_are_listed_by_index(self):
+        # Three rounds of m=5 need at least 5 + 4 + 3 draws, above the cap.
+        emulator = ps.RejectionEmulator(ps.GreedyUtilityPool(lambda e, h: e.base, 5, 3))
+        records, failures = cli.run_trials(emulator, ps.uniform_interval(), 3,
+                                           31, 4, max_iter=7)
+        assert records == []
+        assert [t for t, _ in failures] == [0, 1, 2, 3]
+        assert all(isinstance(exc, ps.IterationCapExceeded) for _, exc in failures)
 
 
 class TestHypothesisFixture:

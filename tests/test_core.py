@@ -46,48 +46,31 @@ class TestDistributions:
 
 class TestSampling:
     def test_point_mass_is_deterministic(self):
-        dist = ps.point_mass(7.0)
-        pair = ps.sample_element(dist, ps.trial_rng(0, 0))
-        assert pair == ps.LabeledPair(ps.Element(7.0, 0.0), 0)
+        src = StreamSource(ps.point_mass(7.0), ps.trial_rng(0, 0))
+        assert src.next() == ps.LabeledPair(ps.Element(7.0, 0.0), 0)
 
     def test_atomless_draws_are_distinct(self):
-        dist = ps.uniform_symbols(1, atomless=True)
-        rng = ps.trial_rng(1, 0)
-        a = ps.sample_element(dist, rng)
-        b = ps.sample_element(dist, rng)
+        src = StreamSource(ps.uniform_symbols(1, atomless=True), ps.trial_rng(1, 0))
+        a = src.next()
+        b = src.next()
         assert a.element.base == b.element.base
         assert a.element != b.element
 
     def test_uniform_two_symbol_frequency(self):
         # Binomial 6-sigma style band at a million draws.
-        dist = ps.uniform_symbols(2)
-        rng = ps.trial_rng(2, 0)
-        hits = sum(ps.sample_element(dist, rng).element.base == 0.0
-                   for _ in range(10**6))
+        src = StreamSource(ps.uniform_symbols(2), ps.trial_rng(2, 0))
+        hits = sum(src.next().element.base == 0.0 for _ in range(10**6))
         assert 0.498 <= hits / 10**6 <= 0.502
 
     def test_interval_bases_stay_in_range(self):
-        dist = ps.uniform_interval(2.0, 5.0)
-        rng = ps.trial_rng(3, 0)
+        src = StreamSource(ps.uniform_interval(2.0, 5.0), ps.trial_rng(3, 0))
         for _ in range(1000):
-            pair = ps.sample_element(dist, rng)
-            assert 2.0 <= pair.element.base < 5.0
+            assert 2.0 <= src.next().element.base < 5.0
 
     def test_two_piece_masses(self):
-        dist = ps.two_region_marginal(4)
-        rng = ps.trial_rng(4, 0)
-        highs = sum(ps.sample_element(dist, rng).element.base > 1.0
-                    for _ in range(10**5))
+        src = StreamSource(ps.two_region_marginal(4), ps.trial_rng(4, 0))
+        highs = sum(src.next().element.base > 1.0 for _ in range(10**5))
         assert abs(highs / 10**5 - 0.25) < 0.01
-
-    @pytest.mark.parametrize("dist", [ps.uniform_symbols(3), ps.two_region_marginal(4)],
-                             ids=["symbols", "pieces"])
-    def test_sample_element_and_stream_source_agree(self, dist):
-        # One uniform per pair in both samplers, so the pairs must coincide.
-        rng = ps.trial_rng(13, 0)
-        direct = [ps.sample_element(dist, rng) for _ in range(300)]
-        src = StreamSource(dist, ps.trial_rng(13, 0))
-        assert [src.next() for _ in range(300)] == direct
 
     def test_stream_source_matches_marginal(self):
         dist = ps.uniform_symbols(2)

@@ -1,9 +1,12 @@
 """Emulator behavior: counters, waits, rejection accounting, secretary rounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import poolstream as ps
+from poolstream.cli import run_trials
 
 BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
 
@@ -12,9 +15,10 @@ def greedy(m, q, **kw):
     return ps.GreedyUtilityPool(lambda e, h: e.base, m, q, **kw)
 
 
-def batch(emulator, dist, q, seed, trials, max_iter=ps.DEFAULT_MAX_ITER):
-    return [ps.run_stream(emulator, dist, q, ps.trial_rng(seed, t), max_iter)
-            for t in range(trials)]
+def batch(emulator, dist, q, seed, trials):
+    records, failures = run_trials(emulator, dist, q, seed, trials)
+    assert not failures
+    return records
 
 
 class FakeSource:
@@ -25,6 +29,8 @@ class FakeSource:
         self.dist = ps.uniform_interval() if atomless else ps.uniform_symbols(2)
         self.n_iter = 0
         self.n_sel = 0
+        self.round_attempts = None
+        self.reveal_positions = []
 
     def next(self):
         item = self._items[self.n_iter]
@@ -33,6 +39,7 @@ class FakeSource:
 
     def reveal(self, pair):
         self.n_sel += 1
+        self.reveal_positions.append(self.n_iter)
         return pair.response
 
 
@@ -88,13 +95,11 @@ class TestNowaitEmulator:
         canon = ps.DiscreteProjection()
         trials = 20000
         wait = ps.empirical_distribution(
-            lambda t: ps.run_stream(ps.WaitEmulator(greedy(2, 2, tie_break="index")),
-                                    dist, 2, ps.trial_rng(25, t)),
-            trials, canon)
+            batch(ps.WaitEmulator(greedy(2, 2, tie_break="index")), dist, 2, 25, trials),
+            canon)
         nowait = ps.empirical_distribution(
-            lambda t: ps.run_stream(ps.NowaitEmulator(greedy(2, 2, tie_break="index")),
-                                    dist, 2, ps.trial_rng(26, t)),
-            trials, canon)
+            batch(ps.NowaitEmulator(greedy(2, 2, tie_break="index")), dist, 2, 26, trials),
+            canon)
         assert ps.tv_distance(wait, nowait) <= 0.03
 
 
@@ -136,10 +141,8 @@ class TestRejectionEmulator:
         dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
         alg = greedy(4, 2)
         exact = ps.exact_pool_distribution(alg, dist, 4, 2)
-        emulator = ps.RejectionEmulator(alg)
         empirical = ps.empirical_distribution(
-            lambda t: ps.run_stream(emulator, dist, 2, ps.trial_rng(32, t)),
-            20000, ps.DiscreteProjection())
+            batch(ps.RejectionEmulator(alg), dist, 2, 32, 20000), ps.DiscreteProjection())
         assert ps.tv_distance(exact, empirical) <= 0.03
 
 
@@ -171,6 +174,34 @@ class TestSecretaryEmulator:
                     assert ((utility(out[i].element, hist), out[i].element.tiebreak)
                             < (utility(out[j].element, hist), out[j].element.tiebreak))
 
+    def test_stopping_rule_is_secpr(self):
+        # Differential check of the emulator's stopping rule against secpr:
+        # every ordering of n <= 6 distinct scores forms the first attempt,
+        # followed by an attempt whose maximum sits at the threshold, which
+        # the rule is sure to win.
+        cases = 0
+        mismatches = []
+        for n in range(1, 7):
+            policy = ps.optimal_policy(n)
+            r = policy.threshold
+            sure_win = tuple(float(n + 1) if j == r else -float(j) for j in range(1, n + 1))
+            for scores in itertools.permutations(float(s) for s in range(1, n + 1)):
+                source = FakeSource([ps.LabeledPair(ps.Element(s, 0.0), 0)
+                                     for s in scores + sure_win])
+                cases += 1
+                try:
+                    ps.SecretaryEmulator(lambda e, h: e.base, n).run(source, 1)
+                except IndexError:  # ran past both scripted attempts
+                    mismatches.append(scores)
+                    continue
+                revealed = [k for k in source.reveal_positions if k <= n]
+                fires = [k for k in range(1, n + 1) if ps.secpr(policy, scores[:k])]
+                won = bool(fires) and scores[fires[0] - 1] == n
+                if revealed != fires or source.round_attempts != (1 if won else 2,):
+                    mismatches.append(scores)
+        assert cases == 873
+        assert len(mismatches) == 0, mismatches[:5]
+
     def test_round_attempt_means(self):
         emulator = ps.SecretaryEmulator(lambda e, h: e.base, 4)
         records = batch(emulator, ps.uniform_interval(), 2, 36, 20000)
@@ -185,8 +216,7 @@ class TestSecretaryEmulator:
         exact = ps.exact_pool_distribution(alg, dist, 4, 2)
         emulator = ps.SecretaryEmulator(lambda e, h: e.base, 4)
         empirical = ps.empirical_distribution(
-            lambda t: ps.run_stream(emulator, dist, 2, ps.trial_rng(37, t)),
-            20000, ps.DiscreteProjection())
+            batch(emulator, dist, 2, 37, 20000), ps.DiscreteProjection())
         assert ps.tv_distance(exact, empirical) <= 0.03
 
     def test_history_dependent_utility_equivalence(self):
@@ -199,10 +229,9 @@ class TestSecretaryEmulator:
         dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
         alg = ps.GreedyUtilityPool(flip, 4, 2)
         exact = ps.exact_pool_distribution(alg, dist, 4, 2)
-        emulator = ps.SecretaryEmulator(flip, 4)
         empirical = ps.empirical_distribution(
-            lambda t: ps.run_stream(emulator, dist, 2, ps.trial_rng(38, t)),
-            20000, ps.DiscreteProjection())
+            batch(ps.SecretaryEmulator(flip, 4), dist, 2, 38, 20000),
+            ps.DiscreteProjection())
         assert ps.tv_distance(exact, empirical) <= 0.03
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poolstream as ps
+from poolstream.cli import run_trials
 from poolstream.stats import InsufficientSamples, TooLargeToEnumerate
 
 
@@ -235,40 +236,29 @@ class TestFirstQExact:
         }
 
     def test_matches_simulation(self):
-        emulator = ps.FirstQEmulator()
-        empirical = ps.empirical_distribution(
-            lambda t: ps.run_stream(emulator, ps.uniform_interval(), 3,
-                                    ps.trial_rng(50, t)),
-            20000, ps.RankPattern())
+        records, failures = run_trials(ps.FirstQEmulator(), ps.uniform_interval(),
+                                       3, 50, 20000)
+        assert not failures
+        empirical = ps.empirical_distribution(records, ps.RankPattern())
         exact = ps.first_q_exact_distribution(3)
         assert ps.tv_distance(exact, empirical) <= 0.03
 
 
 class TestEmpiricalDistribution:
     def test_deterministic_runner_single_point(self):
-        out = ps.empirical_distribution(lambda t: [pair(1.0)], 50,
-                                        ps.DiscreteProjection())
+        out = ps.empirical_distribution([[pair(1.0)]] * 50, ps.DiscreteProjection())
         assert out.support == {((1.0, 0),): 1.0}
         assert out.trials == 50
 
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            ps.empirical_distribution(lambda t: [pair(1.0)], 0,
-                                      ps.DiscreteProjection())
+    def test_empty_batch_has_empty_support(self):
+        out = ps.empirical_distribution([], ps.DiscreteProjection())
+        assert out.support == {}
+        assert out.trials == 0
 
     def test_fair_coin_masses(self):
         bits = ps.trial_rng(51, 0).integers(0, 2, size=10**6).tolist()
-        out = ps.empirical_distribution(lambda t: [pair(float(bits[t]))],
-                                        10**6, ps.DiscreteProjection())
+        runs = ([pair(0.0)], [pair(1.0)])
+        out = ps.empirical_distribution([runs[b] for b in bits],
+                                        ps.DiscreteProjection())
         assert 0.497 <= out.support[((0.0, 0),)] <= 0.503
         assert 0.497 <= out.support[((1.0, 0),)] <= 0.503
-
-    def test_runner_errors_carry_trial_index(self):
-        def runner(t):
-            if t == 3:
-                raise ps.IterationCapExceeded(10, 10, 0)
-            return [pair(0.0)]
-
-        with pytest.raises(ps.IterationCapExceeded) as info:
-            ps.empirical_distribution(runner, 10, ps.DiscreteProjection())
-        assert info.value.trial_index == 3
