@@ -12,7 +12,6 @@ are driven here, with uniform accounting of
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -160,24 +159,57 @@ class SourceDistribution:
 
     @cached_property
     def sampling_table(self) -> tuple:
-        """``(symbols, cum, pieces)`` for drawing a base from one uniform.
+        """``(symbols, cum, pieces)`` for drawing bases from uniforms.
 
-        ``cum`` holds the cumulative masses; ``symbols`` is set for a discrete
-        marginal and ``pieces`` for an interval one, the other is None.
+        ``cum`` holds the cumulative masses.  For a discrete marginal
+        ``symbols`` is an object array of its own symbols, so that picking by
+        index keeps their Python type, and ``pieces`` is None.  For an
+        interval marginal ``symbols`` is None and ``pieces`` holds, per
+        piece, the arrays ``(lo, start, mass, hi - lo)``, where ``start`` is
+        ``cum - mass``.
         """
         marginal = self.marginal
         if isinstance(marginal, DiscreteMarginal):
-            return marginal.symbols, np.cumsum(marginal.probs).tolist(), None
-        cum = np.cumsum([p[2] for p in marginal.pieces]).tolist()
-        return None, cum, marginal.pieces
+            symbols = np.fromiter(marginal.symbols, dtype=object,
+                                  count=len(marginal.symbols))
+            return symbols, np.cumsum(marginal.probs), None
+        lo, hi, mass = (np.array(col) for col in zip(*marginal.pieces))
+        cum = np.cumsum(mass)
+        return None, cum, (lo, cum - mass, mass, hi - lo)
+
+    @cached_property
+    def response_table(self) -> tuple:
+        """``(prob_one, p1)``: the response law with its kind tested once.
+
+        ``prob_one`` maps a base to P[response = 1 | base].  ``p1`` holds
+        that probability for each index of :attr:`sampling_table` (symbol or
+        piece); it is None only for an interval marginal under a law that
+        depends on the base.
+        """
+        law = self.response_one
+        const = self.constant_response
+        if const is not None:
+            def prob_one(base):
+                return const
+        elif isinstance(law, Mapping):
+            get = law.get
+
+            def prob_one(base):
+                return float(get(base, 0.0))
+        else:
+            def prob_one(base):
+                return float(law(base))
+        if self.is_discrete:
+            p1 = np.array([prob_one(s) for s in self.marginal.symbols])
+        elif const is not None:
+            p1 = np.full(len(self.marginal.pieces), const)
+        else:
+            p1 = None
+        return prob_one, p1
 
     def prob_one(self, base: float) -> float:
-        law = self.response_one
-        if isinstance(law, (int, float)):
-            return float(law)
-        if isinstance(law, Mapping):
-            return float(law.get(base, 0.0))
-        return float(law(base))
+        """P[response = 1 | base]."""
+        return self.response_table[0](base)
 
 
 def uniform_symbols(k: int, *, atomless: bool = False,
@@ -322,19 +354,12 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_trial_seed(words)))
 
 
-def _draw_base(table: tuple, u: float) -> float:
-    """The base that uniform ``u`` selects from a ``sampling_table``."""
-    symbols, cum, pieces = table
-    idx = min(bisect_right(cum, u), len(cum) - 1)
-    if pieces is None:
-        return symbols[idx]
-    lo, hi, mass = pieces[idx]
-    frac = min(max((u - (cum[idx] - mass)) / mass, 0.0), 1.0)
-    return lo + frac * (hi - lo)
-
-
 #: First and largest uniform block a :class:`StreamSource` draws.
 _FIRST_BLOCK, _MAX_BLOCK = 64, 4096
+
+# Builds a pair or element without the namedtuple's own ``__new__``, a Python
+# function that costs about as much again.
+_new = tuple.__new__
 
 
 class StreamSource:
@@ -342,11 +367,18 @@ class StreamSource:
 
     The single point where responses become visible is :meth:`reveal`, which
     also increments ``n_sel``; emulators must never read a sealed response
-    directly.  Uniforms are drawn in blocks that start at 64 and double up to
-    4096, so a short run draws few.  PCG64 doubles concatenate across calls,
-    so the uniforms are the generator's own sequence whatever the block
-    sizes; the generator's state runs ahead of the uniforms used.  A
-    non-constant response law draws a uniform for every pair.
+    directly.
+
+    Every pair uses the same number ``w`` of consecutive uniforms: one for
+    the base, one for the tie-break if the source is atomless, and one for
+    the response unless the law is the constant 0 or 1.  Uniforms are drawn
+    in blocks that start at 64 and double up to 4096, so a short run draws
+    few.  Each block, after the up to ``w - 1`` uniforms left over from the
+    previous one, is cut into ``w`` columns and all its whole pairs are
+    decoded at once with numpy; :meth:`next` hands them out one at a time.
+    PCG64 doubles concatenate across calls, so the uniforms are the
+    generator's own sequence whatever the block sizes; the generator's
+    state runs ahead of the uniforms used.
 
     ``round_attempts`` is where an emulator that works in rounds leaves its
     per-round attempt counts (only :class:`~poolstream.emulators.SecretaryEmulator`
@@ -354,7 +386,7 @@ class StreamSource:
     """
 
     __slots__ = ("dist", "max_iter", "n_iter", "n_sel", "round_attempts", "_rng",
-                 "_buf", "_pos", "_block", "_table", "_atomless", "_law_const",
+                 "_block", "_spill", "_pos", "_bases", "_tiebreaks", "_responses",
                  "_revealed")
 
     def __init__(self, dist: SourceDistribution, rng: np.random.Generator,
@@ -365,26 +397,50 @@ class StreamSource:
         self.n_sel = 0
         self.round_attempts: tuple[int, ...] | None = None
         self._rng = rng
-        self._buf: list[float] = []
-        self._pos = 0
         self._block = _FIRST_BLOCK
-        self._table = dist.sampling_table
-        self._atomless = dist.atomless
-        # 0.0/1.0 constants need no draw; anything else draws one uniform.
-        self._law_const = dist.constant_response
+        self._spill = None  # uniforms after the last whole pair of a block
+        self._pos = 0
+        self._bases: list = []
+        self._tiebreaks: list[float] = []
+        self._responses: list[int] = []
         self._revealed: list[LabeledPair] = []
 
-    def _uniform(self) -> float:
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            block = self._block
-            buf = self._rng.random(block).tolist()
-            self._buf = buf
-            self._block = min(2 * block, _MAX_BLOCK)
-            pos = 0
-        self._pos = pos + 1
-        return buf[pos]
+    def _decode(self) -> None:
+        """Draw the next uniform block and decode all of its whole pairs."""
+        dist = self.dist
+        const = dist.constant_response
+        draws_response = const not in (0.0, 1.0)
+        atomless = dist.atomless
+        w = 1 + atomless + draws_response
+        block = self._block
+        self._block = min(2 * block, _MAX_BLOCK)
+        u = self._rng.random(block)
+        if self._spill is not None:
+            u = np.concatenate((self._spill, u))
+        end = len(u) - len(u) % w
+        self._spill = u[end:] if end < len(u) else None
+        base_u = u[0:end:w]
+        symbols, cum, pieces = dist.sampling_table
+        # bisect_right clamped to the last index: cum is non-decreasing, so
+        # searching all but its last entry gives the same index.
+        idx = cum[:-1].searchsorted(base_u, "right")
+        if pieces is None:
+            bases = symbols[idx].tolist()
+        else:
+            # The scalar lo + clip((u - (cum - mass)) / mass) * (hi - lo), op
+            # for op; the per-piece terms are computed once in the table.
+            lo, start, mass, span = (col[idx] for col in pieces)
+            frac = np.minimum(np.maximum((base_u - start) / mass, 0.0), 1.0)
+            bases = (lo + frac * span).tolist()
+        n = len(bases)
+        self._bases = bases
+        self._tiebreaks = u[1:end:w].tolist() if atomless else [0.0] * n
+        if draws_response:
+            prob_one, p1 = dist.response_table
+            p = p1[idx] if p1 is not None else [prob_one(b) for b in bases]
+            self._responses = (u[w - 1:end:w] < p).view(np.uint8).tolist()
+        else:
+            self._responses = [int(const)] * n
 
     def next(self) -> LabeledPair:
         """Observe the next sealed stream pair, counting it toward ``n_iter``."""
@@ -392,17 +448,13 @@ class StreamSource:
             raise IterationCapExceeded(self.max_iter, self.n_iter, self.n_sel,
                                        tuple(self._revealed))
         self.n_iter += 1
-        base = _draw_base(self._table, self._uniform())
-        tiebreak = self._uniform() if self._atomless else 0.0
-        const = self._law_const
-        if const == 0.0:
-            response = 0
-        elif const == 1.0:
-            response = 1
-        else:
-            p1 = const if const is not None else self.dist.prob_one(base)
-            response = int(self._uniform() < p1)
-        return LabeledPair(Element(base, tiebreak), response)
+        pos = self._pos
+        if pos == len(self._bases):
+            self._decode()
+            pos = 0
+        self._pos = pos + 1
+        return _new(LabeledPair, (_new(Element, (self._bases[pos], self._tiebreaks[pos])),
+                                  self._responses[pos]))
 
     def reveal(self, pair: LabeledPair) -> int:
         """Unseal a selected pair's response, counting it toward ``n_sel``."""

@@ -145,6 +145,23 @@ class TestLowerboundDemo:
         assert all(r["status"] == "OK" for r in rows)
         assert float(rows[1]["mean_n_iter"]) >= float(rows[1]["lower_bound"])
 
+    @pytest.mark.parametrize("n_iters,status,code", [
+        ((5, 5, 7), "OK", 0),            # mean 5.67 < 5.75 <= mean + half-width
+        ((5, 5, 5), "VIOLATION", 2),     # the whole CI lies below the bound
+    ], ids=["ci-straddles-bound", "ci-below-bound"])
+    def test_violation_needs_the_ci_below_the_bound(self, tmp_path, monkeypatch,
+                                                     n_iters, status, code):
+        # thm6-chain at m=64, q=2 has alphabet n=23, so the bound q*n/8 is 5.75.
+        records = [ps.RunRecord((), n_sel=2, n_iter=k) for k in n_iters]
+        monkeypatch.setattr(cli, "run_trials", lambda *args: (records, []))
+        out = tmp_path / "demo.csv"
+        assert run_cli(["lowerbound-demo", "--fixture", "thm6-chain", "--q", "2",
+                        "--m-grid", "64", "--trials", "3", "--out", str(out)]) == code
+        _, _, rows = read_rows(out)
+        assert float(rows[0]["lower_bound"]) == 5.75
+        assert float(rows[0]["mean_n_iter"]) < 5.75
+        assert rows[0]["status"] == status
+
     def test_degenerate_budget_equals_pool_sanity_row(self, tmp_path):
         # m = q = 2 keeps every pool split feasible for the coded algorithm
         out = tmp_path / "demo.csv"

@@ -1,5 +1,6 @@
 """Core protocol tests: sampling, pool runs, stream runs, determinism."""
 
+import bisect
 import itertools
 import os
 import pickle
@@ -61,6 +62,7 @@ class TestSampling:
         src = StreamSource(ps.uniform_symbols(2), ps.trial_rng(2, 0))
         hits = sum(src.next().element.base == 0.0 for _ in range(10**6))
         assert 0.498 <= hits / 10**6 <= 0.502
+        assert src.n_iter == 10**6 and src.n_sel == 0
 
     def test_interval_bases_stay_in_range(self):
         src = StreamSource(ps.uniform_interval(2.0, 5.0), ps.trial_rng(3, 0))
@@ -71,13 +73,6 @@ class TestSampling:
         src = StreamSource(ps.two_region_marginal(4), ps.trial_rng(4, 0))
         highs = sum(src.next().element.base > 1.0 for _ in range(10**5))
         assert abs(highs / 10**5 - 0.25) < 0.01
-
-    def test_stream_source_matches_marginal(self):
-        dist = ps.uniform_symbols(2)
-        src = StreamSource(dist, ps.trial_rng(5, 0))
-        hits = sum(src.next().element.base == 0.0 for _ in range(10**5))
-        assert abs(hits / 10**5 - 0.5) < 0.01
-        assert src.n_iter == 10**5 and src.n_sel == 0
 
 
 class TestPoolProtocol:
@@ -248,6 +243,106 @@ def test_stream_source_blocks_concatenate():
         response = int(next(uniforms) < BERNOULLI[base])
         expected.append(ps.LabeledPair(ps.Element(base, tiebreak), response))
     assert [src.next() for _ in range(2000)] == expected
+
+
+def scalar_pairs(dist, rng, count):
+    """The first ``count`` pairs of ``dist``, decoded one uniform at a time."""
+    uniforms = iter(rng.random(3 * count).tolist())
+    marginal, law = dist.marginal, dist.response_one
+    if dist.is_discrete:
+        cum = np.cumsum(marginal.probs).tolist()
+    else:
+        cum = np.cumsum([piece[2] for piece in marginal.pieces]).tolist()
+    pairs = []
+    for _ in range(count):
+        u = next(uniforms)
+        idx = min(bisect.bisect_right(cum, u), len(cum) - 1)
+        if dist.is_discrete:
+            base = marginal.symbols[idx]
+        else:
+            lo, hi, mass = marginal.pieces[idx]
+            base = lo + min(max((u - (cum[idx] - mass)) / mass, 0.0), 1.0) * (hi - lo)
+        tiebreak = next(uniforms) if dist.atomless else 0.0
+        if isinstance(law, (int, float)) and law in (0, 1):
+            response = int(law)  # a 0/1 constant draws no uniform
+        elif isinstance(law, (int, float)):
+            response = int(next(uniforms) < law)
+        elif isinstance(law, dict):
+            response = int(next(uniforms) < law.get(base, 0.0))
+        else:
+            response = int(next(uniforms) < law(base))
+        pairs.append(ps.LabeledPair(ps.Element(base, tiebreak), response))
+    return pairs
+
+
+DECODER_SOURCES = {
+    "two-piece-const": ps.two_region_marginal(4, 0.3),
+    "interval-callable": ps.uniform_interval(2.0, 5.0,
+                                             response_one=lambda b: (b - 2.0) / 3.0),
+    "discrete-callable": ps.hypothesis_class(3, 2, 12).source(5),
+    "point-mass": ps.point_mass(7.0, response_one=0.5),
+    "int-symbols-mapping": ps.SourceDistribution(
+        ps.DiscreteMarginal((0, 1, 2), (0.25, 0.25, 0.5)), {1: 0.9, 2: 0.4},
+        atomless=True),
+    "law-one": ps.uniform_symbols(4, response_one=1.0),
+}
+
+
+@pytest.mark.parametrize("name", DECODER_SOURCES)
+def test_block_decoder_matches_scalar_decoder(name):
+    # 6000 pairs of one to three uniforms each cross every block size.
+    dist = DECODER_SOURCES[name]
+    src = StreamSource(dist, ps.trial_rng(16, 1))
+    got = [src.next() for _ in range(6000)]
+    expected = scalar_pairs(dist, ps.trial_rng(16, 1), 6000)
+    assert got == expected
+    for pair, ref in zip(got, expected):
+        assert type(pair) is ps.LabeledPair and type(pair.element) is ps.Element
+        assert type(pair.element.base) is type(ref.element.base)
+        assert type(pair.response) is int
+
+
+class ScriptedRng:
+    """A generator stand-in whose every draw repeats ``uniforms`` from the start."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, n):
+        return np.resize(np.asarray(self.uniforms, dtype=float), n)
+
+
+@pytest.mark.parametrize("dist", [
+    ps.SourceDistribution(ps.DiscreteMarginal(tuple(range(10)), (0.1,) * 10), 0.5),
+    ps.SourceDistribution(
+        ps.IntervalMarginal(tuple((i, i + 1, 0.1) for i in range(10))), 0.5, True),
+], ids=["symbols", "pieces"])
+def test_uniforms_beyond_the_last_cumulative_mass(dist):
+    # Ten masses of 0.1 add up to 0.9999999999999999, so the largest uniform
+    # below 1 lies beyond the last cumulative mass and selects the last index.
+    top = np.nextafter(1.0, 0.0)
+    rng = ScriptedRng([top, 0.5, top, 0.25, 0.0, top])
+    src = StreamSource(dist, rng)
+    got = [src.next() for _ in range(12)]
+    assert got == scalar_pairs(dist, rng, 12)
+    assert got[0].element.base in (9, 10.0)
+
+
+def test_cap_is_raised_mid_block():
+    # Three uniforms per pair: the 100th pair ends inside the third block.
+    dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
+    src = StreamSource(dist, ps.trial_rng(17, 0), max_iter=100)
+    revealed = []
+    for i in range(100):
+        pair = src.next()
+        if i % 7 == 0:
+            src.reveal(pair)
+            revealed.append(pair)
+    with pytest.raises(ps.IterationCapExceeded) as info:
+        src.next()
+    assert (info.value.max_iter, info.value.n_iter, info.value.n_sel) == (100, 100, 15)
+    assert info.value.revealed == tuple(revealed)
+    assert src.n_iter == 100
 
 
 def test_import_does_not_load_numpy_random():
