@@ -74,6 +74,13 @@ class TestSampling:
         highs = sum(src.next().element.base > 1.0 for _ in range(10**5))
         assert abs(highs / 10**5 - 0.25) < 0.01
 
+    def test_stream_source_matches_marginal(self):
+        dist = ps.uniform_symbols(2)
+        src = StreamSource(dist, ps.trial_rng(5, 0))
+        hits = sum(src.next().element.base == 0.0 for _ in range(10**5))
+        assert abs(hits / 10**5 - 0.5) < 0.01
+        assert src.n_iter == 10**5 and src.n_sel == 0
+
 
 class TestPoolProtocol:
     def test_budget_equals_pool_returns_everything(self):
