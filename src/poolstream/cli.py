@@ -218,7 +218,10 @@ def cmd_equiv_test(cfg: dict) -> int:
         emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"], cfg["max_iter"])
     empirical = empirical_distribution(records, fixture.canonicalizer)
     tv = tv_distance(exact, empirical)
-    status = "PASS" if tv <= cfg["tv_threshold"] else "FAIL"
+    # Failed trials may be exactly the long runs the empirical side misses,
+    # so their share counts against the threshold too.
+    failed_share = len(failures) / cfg["trials"]
+    status = "PASS" if tv + failed_share <= cfg["tv_threshold"] else "FAIL"
     rows = []
     for outcome in sorted(exact.support.keys() | empirical.support.keys(), key=str):
         rows.append(["outcome", str(outcome), exact.mass(outcome),

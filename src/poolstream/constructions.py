@@ -14,6 +14,7 @@ Three families, each exposing enough structure for exact verification:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,8 +101,8 @@ def unit_from_permutation(perm: Sequence[int]) -> float:
 # Two-region permutation-coded pool algorithm
 # ---------------------------------------------------------------------------
 
-LOW_REGION = (0.0, 1.0)
-HIGH_REGION = (1.0, 2.0)
+# Above every low element and below every high one in (base, tiebreak) order.
+_LOW_TOP = (1.0, math.inf)
 
 
 def region_of(base: float) -> int:
@@ -145,26 +146,30 @@ class CodedPoolAlgorithm(PoolAlgorithm):
     def select_next(self, elements: Sequence[Element], history: History,
                     selected: frozenset[int]) -> int:
         q = self.q
-        low = sorted((i for i, e in enumerate(elements) if e.base <= 1.0),
-                     key=lambda i: (elements[i].base, elements[i].tiebreak))
-        high = sorted((i for i, e in enumerate(elements) if e.base > 1.0),
-                      key=lambda i: (elements[i].base, elements[i].tiebreak))
-        if len(high) == 1:
-            hi = high[0]
-            sigma = permutation_from_unit(elements[hi].base - 1.0, len(low))
+        # Elements order by (base, tiebreak), so one sort ranks both regions
+        # and the lows (base <= 1.0) come first.
+        order = sorted(range(len(elements)), key=elements.__getitem__)
+        n_low = bisect_right(order, _LOW_TOP, key=elements.__getitem__)
+        n_high = len(order) - n_low
+        if n_high == 1:
+            hi = order[n_low]
+            sigma = permutation_from_unit(elements[hi].base - 1.0, n_low)
             t = len(history) + 1
             if t < q:
-                return low[sigma[t - 1]]
+                return order[sigma[t - 1]]
             if all(pair.response == 0 for pair in history):
                 return hi
-            if q <= len(low):
-                return low[sigma[q - 1]]
+            if q <= n_low:
+                return order[sigma[q - 1]]
             return hi  # q == m: every low already taken, the high is forced
-        feasible = low if len(low) >= q else high
-        if len(feasible) < q:
+        if n_low >= q:
+            feasible = order[:n_low]
+        elif n_high >= q:
+            feasible = order[n_low:]
+        else:
             raise InfeasiblePool(
                 f"neither region holds q={q} elements "
-                f"(low={len(low)}, high={len(high)})")
+                f"(low={n_low}, high={n_high})")
         for idx in feasible:
             if idx not in selected:
                 return idx

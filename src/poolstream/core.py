@@ -29,7 +29,9 @@ class EmulationError(Exception):
 
 
 class ContractViolation(EmulationError):
-    """A pool algorithm returned an out-of-range or already-selected index."""
+    """A protocol rule was broken: a pool algorithm returned an index that is
+    not an int, out of range or already selected, or an emulator revealed a
+    pair twice or returned the wrong number of pairs."""
 
 
 class AtomlessDistribution(EmulationError):
@@ -366,8 +368,8 @@ class StreamSource:
     """Lazily samples sealed pairs from a source law with cap enforcement.
 
     The single point where responses become visible is :meth:`reveal`, which
-    also increments ``n_sel``; emulators must never read a sealed response
-    directly.
+    also increments ``n_sel`` and refuses a pair it has already revealed;
+    emulators must never read a sealed response directly.
 
     Every pair uses the same number ``w`` of consecutive uniforms: one for
     the base, one for the tie-break if the source is atomless, and one for
@@ -403,7 +405,9 @@ class StreamSource:
         self._bases: list = []
         self._tiebreaks: list[float] = []
         self._responses: list[int] = []
-        self._revealed: list[LabeledPair] = []
+        # Revealed pairs in reveal order, keyed by id(); holding the pairs
+        # keeps each id unique.
+        self._revealed: dict[int, LabeledPair] = {}
 
     def _decode(self) -> None:
         """Draw the next uniform block and decode all of its whole pairs."""
@@ -446,7 +450,7 @@ class StreamSource:
         """Observe the next sealed stream pair, counting it toward ``n_iter``."""
         if self.n_iter >= self.max_iter:
             raise IterationCapExceeded(self.max_iter, self.n_iter, self.n_sel,
-                                       tuple(self._revealed))
+                                       self.revealed)
         self.n_iter += 1
         pos = self._pos
         if pos == len(self._bases):
@@ -457,14 +461,22 @@ class StreamSource:
                                   self._responses[pos]))
 
     def reveal(self, pair: LabeledPair) -> int:
-        """Unseal a selected pair's response, counting it toward ``n_sel``."""
+        """Unseal a selected pair's response, counting it toward ``n_sel``.
+
+        Each pair :meth:`next` returned may be revealed once.  Pairs are told
+        apart by identity: under a source with atoms, two draws can be equal.
+        """
+        revealed = self._revealed
+        key = id(pair)
+        if key in revealed:
+            raise ContractViolation(f"pair {pair!r} revealed twice")
+        revealed[key] = pair
         self.n_sel += 1
-        self._revealed.append(pair)
         return pair.response
 
     @property
     def revealed(self) -> tuple[LabeledPair, ...]:
-        return tuple(self._revealed)
+        return tuple(self._revealed.values())
 
 
 def sample_pool(dist: SourceDistribution, m: int, rng: np.random.Generator) -> list[LabeledPair]:
@@ -519,8 +531,10 @@ class StreamEmulator:
 def _checked_select(alg: PoolAlgorithm, elements: Sequence[Element],
                     history: History, selected: set[int]) -> int:
     idx = alg.select_next(elements, history, frozenset(selected))
-    if not isinstance(idx, int) or not 0 <= idx < len(elements):
-        raise ContractViolation(f"selected index {idx!r} outside pool of size {len(elements)}")
+    # type(), not isinstance(): a bool is an int, and True would pick index 1.
+    if type(idx) is not int or not 0 <= idx < len(elements):
+        raise ContractViolation(
+            f"selected index {idx!r} is not an int in range({len(elements)})")
     if idx in selected:
         raise ContractViolation(f"index {idx} selected twice")
     return idx

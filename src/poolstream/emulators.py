@@ -172,22 +172,26 @@ class RejectionEmulator(StreamEmulator):
         if q > m:
             raise ValueError(f"budget q={q} exceeds pool size m={m}")
         committed: list[LabeledPair] = []
-        for i in range(1, q + 1):
-            width = m - i + 1
+        # The k committed elements in commit order, then the current draw of
+        # m - k; each redraw overwrites only the draw.
+        elements: list = [None] * m
+        nxt = source.next
+        for k in range(q):
             while True:
-                fresh = [source.next() for _ in range(width)]
-                if self._replay_accepts(committed, fresh):
+                for j in range(k, m):
+                    item = nxt()
+                    elements[j] = item.element
+                if self._replay_accepts(committed, elements):
                     break
-            last = fresh[-1]
-            response = source.reveal(last)
-            committed.append(LabeledPair(last.element, response))
+            # item is the last-drawn pair, the one the replay selected.
+            elements[k] = item.element
+            committed.append(LabeledPair(item.element, source.reveal(item)))
         return tuple(committed)
 
     def _replay_accepts(self, committed: list[LabeledPair],
-                        fresh: list[LabeledPair]) -> bool:
+                        elements: list[Element]) -> bool:
         alg = self.pool_alg
         k = len(committed)
-        elements = [p.element for p in committed] + [p.element for p in fresh]
         history: list[LabeledPair] = []
         selected: set[int] = set()
         for _ in range(k):
@@ -231,10 +235,13 @@ class SecretaryEmulator(StreamEmulator):
         if q > m:
             raise ValueError(f"budget q={q} exceeds pool size m={m}")
         utility = self.utility
+        nxt = source.next
         accepted: list[LabeledPair] = []
-        # (history snapshot, cutoff key) per finished round; an element is in
-        # the current domain iff it scores strictly below every cutoff under
-        # the matching snapshot.
+        # (history snapshot, cutoff key) per finished round, newest first; an
+        # element is in the current domain iff it scores strictly below every
+        # cutoff under the matching snapshot.  The newest cutoff is the
+        # tightest one under a history-independent utility, so testing it
+        # first rejects most elements with one utility call.
         filters: list[tuple[tuple[LabeledPair, ...], tuple[float, float]]] = []
         attempts_log: list[int] = []
         for i in range(1, q + 1):
@@ -249,7 +256,7 @@ class SecretaryEmulator(StreamEmulator):
                 chosen_key = None
                 for j in range(1, horizon + 1):
                     while True:
-                        item = source.next()
+                        item = nxt()
                         element = item.element
                         for hist, cutoff in filters:
                             if (utility(element, hist), element.tiebreak) >= cutoff:
@@ -267,7 +274,7 @@ class SecretaryEmulator(StreamEmulator):
                     break
                 # failed attempt: any revealed pair stays counted but discarded
             attempts_log.append(attempts)
-            filters.append((snapshot, chosen_key))
+            filters.insert(0, (snapshot, chosen_key))
             accepted.append(chosen)
         source.round_attempts = tuple(attempts_log)
         return tuple(accepted)

@@ -86,6 +86,29 @@ class TestEquivTest:
         assert (summary["tv"], summary["status"], summary["failed_trials"]) == (
             "0.5", "FAIL", "5")
 
+    @pytest.mark.parametrize("failed,status,code", [(0, "PASS", 0), (100, "FAIL", 2)],
+                             ids=["none-failed", "two-percent-failed"])
+    def test_verdict_charges_failed_trials(self, tmp_path, monkeypatch,
+                                           failed, status, code):
+        # greedy-max at m=2, q=2 always selects the larger element first, so
+        # the exact law is one rank pattern; one record in a hundred with the
+        # other order puts TV at 0.01, under the 0.02 threshold, and 2% of
+        # trials failing must tip the verdict.
+        high, low = (ps.LabeledPair(ps.Element(b, 0.0), 0) for b in (0.9, 0.1))
+        kept = 5000 - failed
+        records = ([ps.RunRecord((high, low), n_sel=2, n_iter=2)] * (kept - kept // 100)
+                   + [ps.RunRecord((low, high), n_sel=2, n_iter=2)] * (kept // 100))
+        failures = [(t, ps.IterationCapExceeded(2, 2, 0)) for t in range(failed)]
+        monkeypatch.setattr(cli, "run_trials", lambda *args: (records, failures))
+        out = tmp_path / "verdict.csv"
+        assert run_cli(["equiv-test", "--fixture", "greedy-max", "--emulator", "gen",
+                        "--m", "2", "--q", "2", "--trials", "5000",
+                        "--out", str(out)]) == code
+        _, _, rows = read_rows(out)
+        summary = [r for r in rows if r["row_type"] == "summary"][0]
+        assert (summary["tv"], summary["threshold"], summary["status"],
+                summary["failed_trials"]) == ("0.01", "0.02", status, str(failed))
+
     def test_wait_on_atoms_fixture(self, tmp_path):
         out = tmp_path / "wait.csv"
         code = run_cli(["equiv-test", "--fixture", "greedy-max-atoms",

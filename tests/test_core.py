@@ -120,6 +120,19 @@ class TestPoolProtocol:
         with pytest.raises(ps.ContractViolation):
             ps.run_pool(Stuck(), pool, 2)
 
+    def test_bool_index_is_contract_violation(self):
+        # True == 1, so an isinstance(idx, int) check would select index 1.
+        class Truthy(ps.PoolAlgorithm):
+            m = 2
+            q = 1
+
+            def select_next(self, elements, history, selected):
+                return True
+
+        pool = [ps.LabeledPair(ps.Element(float(i), 0.0), 0) for i in range(2)]
+        with pytest.raises(ps.ContractViolation, match="True"):
+            ps.run_pool(Truthy(), pool, 1)
+
     def test_budget_above_pool_size_rejected(self):
         pool = [ps.LabeledPair(ps.Element(0.0, 0.0), 0)]
         with pytest.raises(ValueError):
@@ -184,6 +197,29 @@ class TestStreamProtocol:
             b = ps.run_stream(emulator, dist, 2, ps.trial_rng(10, 4))
             assert a == b
             assert repr(a) == repr(b)
+
+    def test_pair_revealed_twice_is_contract_violation(self):
+        class RevealTwice(ps.StreamEmulator):
+            def run(self, source, q):
+                item = source.next()
+                source.reveal(item)
+                source.reveal(item)
+                return (item,) * q
+
+        with pytest.raises(ps.ContractViolation, match="revealed twice"):
+            ps.run_stream(RevealTwice(), ps.uniform_interval(), 1, ps.trial_rng(12, 0))
+
+    def test_equal_pairs_are_revealed_once_each(self):
+        # Under a point mass every draw is equal, yet each is its own pair:
+        # reveal-once goes by identity, not by value.
+        src = StreamSource(ps.point_mass(3.0), ps.trial_rng(13, 0))
+        first, second = src.next(), src.next()
+        assert first == second and first is not second
+        assert src.reveal(first) == src.reveal(second) == 0
+        with pytest.raises(ps.ContractViolation):
+            src.reveal(second)
+        assert src.n_sel == 2
+        assert src.revealed == (first, second)
 
     def test_trial_streams_are_order_independent(self):
         dist = ps.uniform_interval()
