@@ -18,6 +18,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     DiscreteMarginal,
@@ -53,13 +54,16 @@ class IncompletePool(EmulationError):
 # Permutation coding on the unit interval
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def permutation_from_unit(u: float, size: int) -> tuple[int, ...]:
     """Decode u in (0, 1] to a permutation of range(size).
 
     Uses the factorial-base digits of u as a Lehmer code, so a uniform u maps
     to a uniform permutation (exactly in the real-number idealization, to
     within one part in 2**53 in floats -- far finer than any test bins).
-    Deterministic: equal inputs give equal permutations.
+    Deterministic: equal inputs give equal permutations, so the last result
+    is kept for the pool replay, which decodes one pool's high element again
+    on each round.
     """
     if size < 1:
         raise ValueError("size must be positive")

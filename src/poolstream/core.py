@@ -30,8 +30,9 @@ class EmulationError(Exception):
 
 class ContractViolation(EmulationError):
     """A protocol rule was broken: a pool algorithm returned an index that is
-    not an int, out of range or already selected, or an emulator revealed a
-    pair twice or returned the wrong number of pairs."""
+    not an int, out of range or already selected, or an emulator revealed an
+    element other than the one just observed (an earlier one, or the same one
+    twice) or returned the wrong number of pairs."""
 
 
 class AtomlessDistribution(EmulationError):
@@ -78,9 +79,10 @@ class Element(NamedTuple):
 class LabeledPair(NamedTuple):
     """An element together with its response.
 
-    Inside a sealed pool or stream item the response holds the pre-sampled
-    truth and must only be read through ``StreamSource.reveal`` or the pool
-    protocol; in a history it has been revealed.
+    Inside a sealed pool the response holds the pre-sampled truth and must
+    only be read through the pool protocol; in a history it has been
+    revealed.  A stream hands out bare elements: ``StreamSource.reveal``
+    returns the response of the element just observed, and no other.
     """
 
     element: Element
@@ -365,11 +367,13 @@ _new = tuple.__new__
 
 
 class StreamSource:
-    """Lazily samples sealed pairs from a source law with cap enforcement.
+    """Lazily samples stream elements from a source law with cap enforcement.
 
-    The single point where responses become visible is :meth:`reveal`, which
-    also increments ``n_sel`` and refuses a pair it has already revealed;
-    emulators must never read a sealed response directly.
+    :meth:`next` hands out bare elements; their pre-sampled responses stay
+    inside.  The single point where a response becomes visible is
+    :meth:`reveal`, which increments ``n_sel`` and unseals only the element
+    the latest :meth:`next` returned, and that once: a stream algorithm can
+    select an element only immediately after observing it.
 
     Every pair uses the same number ``w`` of consecutive uniforms: one for
     the base, one for the tie-break if the source is atomless, and one for
@@ -389,7 +393,7 @@ class StreamSource:
 
     __slots__ = ("dist", "max_iter", "n_iter", "n_sel", "round_attempts", "_rng",
                  "_block", "_spill", "_pos", "_bases", "_tiebreaks", "_responses",
-                 "_revealed")
+                 "_last", "_revealed")
 
     def __init__(self, dist: SourceDistribution, rng: np.random.Generator,
                  max_iter: int = DEFAULT_MAX_ITER):
@@ -405,9 +409,8 @@ class StreamSource:
         self._bases: list = []
         self._tiebreaks: list[float] = []
         self._responses: list[int] = []
-        # Revealed pairs in reveal order, keyed by id(); holding the pairs
-        # keeps each id unique.
-        self._revealed: dict[int, LabeledPair] = {}
+        self._last = None  # the element next() returned, until revealed
+        self._revealed: list[LabeledPair] = []
 
     def _decode(self) -> None:
         """Draw the next uniform block and decode all of its whole pairs."""
@@ -446,8 +449,8 @@ class StreamSource:
         else:
             self._responses = [int(const)] * n
 
-    def next(self) -> LabeledPair:
-        """Observe the next sealed stream pair, counting it toward ``n_iter``."""
+    def next(self) -> Element:
+        """Observe the next stream element, counting it toward ``n_iter``."""
         if self.n_iter >= self.max_iter:
             raise IterationCapExceeded(self.max_iter, self.n_iter, self.n_sel,
                                        self.revealed)
@@ -457,32 +460,37 @@ class StreamSource:
             self._decode()
             pos = 0
         self._pos = pos + 1
-        return _new(LabeledPair, (_new(Element, (self._bases[pos], self._tiebreaks[pos])),
-                                  self._responses[pos]))
+        self._last = element = _new(Element, (self._bases[pos], self._tiebreaks[pos]))
+        return element
 
-    def reveal(self, pair: LabeledPair) -> int:
-        """Unseal a selected pair's response, counting it toward ``n_sel``.
+    def reveal(self, element: Element) -> int:
+        """Unseal the just observed element's response, counting it toward ``n_sel``.
 
-        Each pair :meth:`next` returned may be revealed once.  Pairs are told
-        apart by identity: under a source with atoms, two draws can be equal.
+        Only the element the latest :meth:`next` returned may be revealed,
+        and only once.  Elements are told apart by identity: under a source
+        with atoms, two draws can be equal.
         """
-        revealed = self._revealed
-        key = id(pair)
-        if key in revealed:
-            raise ContractViolation(f"pair {pair!r} revealed twice")
-        revealed[key] = pair
+        if element is not self._last or element is None:
+            done = any(pair.element is element for pair in self._revealed)
+            raise ContractViolation(f"element {element!r} " + (
+                "revealed twice" if done else "is not the element just observed"))
+        self._last = None
         self.n_sel += 1
-        return pair.response
+        response = self._responses[self._pos - 1]
+        self._revealed.append(_new(LabeledPair, (element, response)))
+        return response
 
     @property
     def revealed(self) -> tuple[LabeledPair, ...]:
-        return tuple(self._revealed.values())
+        return tuple(self._revealed)
 
 
 def sample_pool(dist: SourceDistribution, m: int, rng: np.random.Generator) -> list[LabeledPair]:
-    """Draw an i.i.d. pool of ``m`` sealed pairs through a :class:`StreamSource`."""
+    """Draw an i.i.d. pool of ``m`` pairs through a private :class:`StreamSource`."""
     source = StreamSource(dist, rng)
-    return [source.next() for _ in range(m)]
+    for _ in range(m):
+        source.reveal(source.next())
+    return list(source.revealed)
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,6 @@ from .secretary import cached_policy
 UtilityFunction = Callable[[Element, History], float]
 
 
-def _score_key(utility: UtilityFunction, element: Element,
-               history: History) -> tuple[float, float]:
-    # The tie-break coordinate enters lexicographically below the score, so
-    # distinct elements never tie while the base-score ordering is preserved.
-    return (utility(element, history), element.tiebreak)
-
-
 class GreedyUtilityPool(PoolAlgorithm):
     """Pool algorithm selecting the utility argmax each round.
 
@@ -94,8 +87,8 @@ class FirstQEmulator(StreamEmulator):
     def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
         out = []
         for _ in range(q):
-            item = source.next()
-            out.append(LabeledPair(item.element, source.reveal(item)))
+            element = source.next()
+            out.append(LabeledPair(element, source.reveal(element)))
         return tuple(out)
 
 
@@ -115,20 +108,18 @@ class WaitEmulator(StreamEmulator):
                 "the wait emulator needs exact value recurrences; "
                 "use a source with atoms")
         alg = self.pool_alg
-        pool = [source.next() for _ in range(alg.m)]  # sealed, never revealed
-        elements = [p.element for p in pool]
+        elements = [source.next() for _ in range(alg.m)]  # never revealed
         history: list[LabeledPair] = []
         selected: set[int] = set()
         for _ in range(q):
             idx = _checked_select(alg, elements, history, selected)
             target = elements[idx]
             while True:
-                item = source.next()
-                if item.element == target:
+                element = source.next()
+                if element == target:
                     break
-            response = source.reveal(item)
             selected.add(idx)
-            history.append(LabeledPair(item.element, response))
+            history.append(LabeledPair(element, source.reveal(element)))
         return tuple(history)
 
 
@@ -141,8 +132,8 @@ class NowaitEmulator(StreamEmulator):
     def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
         pool = []
         for _ in range(self.pool_alg.m):
-            item = source.next()
-            pool.append(LabeledPair(item.element, source.reveal(item)))
+            element = source.next()
+            pool.append(LabeledPair(element, source.reveal(element)))
         return tuple(interact_pool(self.pool_alg, pool, q))
 
 
@@ -179,13 +170,12 @@ class RejectionEmulator(StreamEmulator):
         for k in range(q):
             while True:
                 for j in range(k, m):
-                    item = nxt()
-                    elements[j] = item.element
+                    elements[j] = nxt()
                 if self._replay_accepts(committed, elements):
                     break
-            # item is the last-drawn pair, the one the replay selected.
-            elements[k] = item.element
-            committed.append(LabeledPair(item.element, source.reveal(item)))
+            # The last draw, just observed, is the one the replay selected.
+            element = elements[k] = elements[m - 1]
+            committed.append(LabeledPair(element, source.reveal(element)))
         return tuple(committed)
 
     def _replay_accepts(self, committed: list[LabeledPair],
@@ -256,8 +246,7 @@ class SecretaryEmulator(StreamEmulator):
                 chosen_key = None
                 for j in range(1, horizon + 1):
                     while True:
-                        item = nxt()
-                        element = item.element
+                        element = nxt()
                         for hist, cutoff in filters:
                             if (utility(element, hist), element.tiebreak) >= cutoff:
                                 break
@@ -267,8 +256,7 @@ class SecretaryEmulator(StreamEmulator):
                     if best_key is None or key > best_key:
                         best_key = key
                         if chosen is None and j >= threshold:
-                            response = source.reveal(item)
-                            chosen = LabeledPair(element, response)
+                            chosen = LabeledPair(element, source.reveal(element))
                             chosen_key = key
                 if chosen is not None and chosen_key == best_key:
                     break

@@ -30,6 +30,26 @@ class TestPermutationCoding:
         # u = 1.0 (base exactly 2.0) must decode without error.
         assert len(ps.permutation_from_unit(1.0, 4)) == 4
 
+    def test_cached_decode_equals_uncached(self):
+        # The decode keeps its last result: a hit must return what a fresh
+        # decode gives, whether the arguments repeat or alternate.
+        decode = ps.permutation_from_unit
+        fresh = decode.__wrapped__
+        us = ps.trial_rng(42, 0).random(30).tolist() + [1.0]
+        for size in range(1, 8):
+            for u in us:
+                for args in ((u, size), (u, size), (us[0], size), (u, size),
+                             (u, size % 7 + 1), (u, size)):
+                    got = decode(*args)
+                    assert type(got) is tuple and got == fresh(*args), args
+        # Errors are never cached: each bad call raises again, also right
+        # after a valid call or the same bad call.
+        for bad in ((-0.25, 3), (-5e-324, 1), (0.5, 0), (0.5, -1)):
+            decode(0.5, 3)
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    decode(*bad)
+
     @pytest.mark.parametrize("size", [2, 3])
     def test_uniform_pushforward(self, size):
         rng = ps.trial_rng(40, size)
@@ -60,7 +80,7 @@ class TestTwoRegionMarginal:
         src = StreamSource(dist, ps.trial_rng(41, 0))
         good = 0
         for _ in range(10**5):
-            highs = sum(src.next().element.base > 1.0 for _ in range(10))
+            highs = sum(src.next().base > 1.0 for _ in range(10))
             good += highs == 1
         assert good / 10**5 >= 0.13
 

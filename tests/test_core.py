@@ -48,36 +48,38 @@ class TestDistributions:
 class TestSampling:
     def test_point_mass_is_deterministic(self):
         src = StreamSource(ps.point_mass(7.0), ps.trial_rng(0, 0))
-        assert src.next() == ps.LabeledPair(ps.Element(7.0, 0.0), 0)
+        element = src.next()
+        assert type(element) is ps.Element and element == ps.Element(7.0, 0.0)
+        assert src.reveal(element) == 0
 
     def test_atomless_draws_are_distinct(self):
         src = StreamSource(ps.uniform_symbols(1, atomless=True), ps.trial_rng(1, 0))
         a = src.next()
         b = src.next()
-        assert a.element.base == b.element.base
-        assert a.element != b.element
+        assert a.base == b.base
+        assert a != b
 
     def test_uniform_two_symbol_frequency(self):
         # Binomial 6-sigma style band at a million draws.
         src = StreamSource(ps.uniform_symbols(2), ps.trial_rng(2, 0))
-        hits = sum(src.next().element.base == 0.0 for _ in range(10**6))
+        hits = sum(src.next().base == 0.0 for _ in range(10**6))
         assert 0.498 <= hits / 10**6 <= 0.502
         assert src.n_iter == 10**6 and src.n_sel == 0
 
     def test_interval_bases_stay_in_range(self):
         src = StreamSource(ps.uniform_interval(2.0, 5.0), ps.trial_rng(3, 0))
         for _ in range(1000):
-            assert 2.0 <= src.next().element.base < 5.0
+            assert 2.0 <= src.next().base < 5.0
 
     def test_two_piece_masses(self):
         src = StreamSource(ps.two_region_marginal(4), ps.trial_rng(4, 0))
-        highs = sum(src.next().element.base > 1.0 for _ in range(10**5))
+        highs = sum(src.next().base > 1.0 for _ in range(10**5))
         assert abs(highs / 10**5 - 0.25) < 0.01
 
     def test_stream_source_matches_marginal(self):
         dist = ps.uniform_symbols(2)
         src = StreamSource(dist, ps.trial_rng(5, 0))
-        hits = sum(src.next().element.base == 0.0 for _ in range(10**5))
+        hits = sum(src.next().base == 0.0 for _ in range(10**5))
         assert abs(hits / 10**5 - 0.5) < 0.01
         assert src.n_iter == 10**5 and src.n_sel == 0
 
@@ -201,25 +203,49 @@ class TestStreamProtocol:
     def test_pair_revealed_twice_is_contract_violation(self):
         class RevealTwice(ps.StreamEmulator):
             def run(self, source, q):
-                item = source.next()
-                source.reveal(item)
-                source.reveal(item)
-                return (item,) * q
+                element = source.next()
+                pair = ps.LabeledPair(element, source.reveal(element))
+                source.reveal(element)
+                return (pair,) * q
 
         with pytest.raises(ps.ContractViolation, match="revealed twice"):
             ps.run_stream(RevealTwice(), ps.uniform_interval(), 1, ps.trial_rng(12, 0))
 
-    def test_equal_pairs_are_revealed_once_each(self):
-        # Under a point mass every draw is equal, yet each is its own pair:
-        # reveal-once goes by identity, not by value.
+    def test_earlier_element_is_contract_violation(self):
+        # A stream algorithm selects only right after observing: once a
+        # later element has arrived, an earlier one can no longer be revealed.
+        src = StreamSource(ps.uniform_interval(response_one=0.5), ps.trial_rng(12, 1))
+        first = src.next()
+        second = src.next()
+        with pytest.raises(ps.ContractViolation, match="not the element just observed"):
+            src.reveal(first)
+        response = src.reveal(second)
+        with pytest.raises(ps.ContractViolation, match="not the element just observed"):
+            src.reveal(first)
+        assert src.n_sel == 1
+        assert src.revealed == (ps.LabeledPair(second, response),)
+
+    def test_equal_copy_of_the_latest_element_is_contract_violation(self):
+        # Under a point mass every draw is equal, yet each is its own
+        # element: reveal goes by identity, not by value.
         src = StreamSource(ps.point_mass(3.0), ps.trial_rng(13, 0))
         first, second = src.next(), src.next()
         assert first == second and first is not second
-        assert src.reveal(first) == src.reveal(second) == 0
+        with pytest.raises(ps.ContractViolation):
+            src.reveal(first)
+        with pytest.raises(ps.ContractViolation):
+            src.reveal(ps.Element(*second))
+        assert src.reveal(second) == 0
+        with pytest.raises(ps.ContractViolation):
+            src.reveal(None)
+        third = src.next()
+        assert third == second and third is not second
         with pytest.raises(ps.ContractViolation):
             src.reveal(second)
+        assert src.reveal(third) == 0
         assert src.n_sel == 2
-        assert src.revealed == (first, second)
+        assert src.revealed == (ps.LabeledPair(second, 0), ps.LabeledPair(third, 0))
+        assert src.revealed[0].element is second and src.revealed[1].element is third
 
     def test_trial_streams_are_order_independent(self):
         dist = ps.uniform_interval()
@@ -272,6 +298,12 @@ class TestTrialRng:
         assert np.array_equal(copy.random(8), rng.random(8))
 
 
+def reveal_next(src):
+    """The next element of ``src`` with its response, as a pair."""
+    element = src.next()
+    return ps.LabeledPair(element, src.reveal(element))
+
+
 def test_stream_source_blocks_concatenate():
     # Three uniforms per pair: 2000 pairs cross every block size from 64 up
     # to the 4096 cap, and must match one undivided draw.
@@ -285,7 +317,7 @@ def test_stream_source_blocks_concatenate():
         tiebreak = next(uniforms)
         response = int(next(uniforms) < BERNOULLI[base])
         expected.append(ps.LabeledPair(ps.Element(base, tiebreak), response))
-    assert [src.next() for _ in range(2000)] == expected
+    assert [reveal_next(src) for _ in range(2000)] == expected
 
 
 def scalar_pairs(dist, rng, count):
@@ -336,10 +368,11 @@ def test_block_decoder_matches_scalar_decoder(name):
     # 6000 pairs of one to three uniforms each cross every block size.
     dist = DECODER_SOURCES[name]
     src = StreamSource(dist, ps.trial_rng(16, 1))
-    got = [src.next() for _ in range(6000)]
+    got = [reveal_next(src) for _ in range(6000)]
     expected = scalar_pairs(dist, ps.trial_rng(16, 1), 6000)
     assert got == expected
-    for pair, ref in zip(got, expected):
+    assert src.n_iter == src.n_sel == 6000 and src.revealed == tuple(expected)
+    for pair, ref in zip(src.revealed, expected):
         assert type(pair) is ps.LabeledPair and type(pair.element) is ps.Element
         assert type(pair.element.base) is type(ref.element.base)
         assert type(pair.response) is int
@@ -366,7 +399,7 @@ def test_uniforms_beyond_the_last_cumulative_mass(dist):
     top = np.nextafter(1.0, 0.0)
     rng = ScriptedRng([top, 0.5, top, 0.25, 0.0, top])
     src = StreamSource(dist, rng)
-    got = [src.next() for _ in range(12)]
+    got = [reveal_next(src) for _ in range(12)]
     assert got == scalar_pairs(dist, rng, 12)
     assert got[0].element.base in (9, 10.0)
 
@@ -377,10 +410,9 @@ def test_cap_is_raised_mid_block():
     src = StreamSource(dist, ps.trial_rng(17, 0), max_iter=100)
     revealed = []
     for i in range(100):
-        pair = src.next()
+        element = src.next()
         if i % 7 == 0:
-            src.reveal(pair)
-            revealed.append(pair)
+            revealed.append(ps.LabeledPair(element, src.reveal(element)))
     with pytest.raises(ps.IterationCapExceeded) as info:
         src.next()
     assert (info.value.max_iter, info.value.n_iter, info.value.n_sel) == (100, 100, 15)

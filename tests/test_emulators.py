@@ -22,7 +22,11 @@ def batch(emulator, dist, q, seed, trials):
 
 
 class FakeSource:
-    """Deterministic stand-in for StreamSource with a scripted item sequence."""
+    """Deterministic stand-in for StreamSource with a scripted pair sequence.
+
+    Hands out each pair's element and, like StreamSource, reveals the
+    scripted response of the element just observed and of no other.
+    """
 
     def __init__(self, pairs, atomless=True):
         self._items = list(pairs)
@@ -31,16 +35,20 @@ class FakeSource:
         self.n_sel = 0
         self.round_attempts = None
         self.reveal_positions = []
+        self._last = None
 
     def next(self):
-        item = self._items[self.n_iter]
+        self._last = item = self._items[self.n_iter]
         self.n_iter += 1
-        return item
+        return item.element
 
-    def reveal(self, pair):
+    def reveal(self, element):
+        item, self._last = self._last, None
+        if item is None or element is not item.element:
+            raise ps.ContractViolation(f"{element!r} is not the element just observed")
         self.n_sel += 1
         self.reveal_positions.append(self.n_iter)
-        return pair.response
+        return item.response
 
 
 class TestWaitEmulator:

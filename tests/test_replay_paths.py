@@ -69,13 +69,13 @@ class ReferenceRejection(ps.StreamEmulator):
                 if self._replay_accepts(committed, fresh):
                     break
             last = fresh[-1]
-            committed.append(ps.LabeledPair(last.element, source.reveal(last)))
+            committed.append(ps.LabeledPair(last, source.reveal(last)))
         return tuple(committed)
 
     def _replay_accepts(self, committed, fresh):
         alg = self.pool_alg
         k = len(committed)
-        elements = [p.element for p in committed] + [p.element for p in fresh]
+        elements = [p.element for p in committed] + fresh
         history = []
         selected = set()
         for _ in range(k):
@@ -113,8 +113,7 @@ class ReferenceSecretary(ps.StreamEmulator):
                 chosen_key = None
                 for j in range(1, horizon + 1):
                     while True:
-                        item = source.next()
-                        element = item.element
+                        element = source.next()
                         for hist, cutoff in filters:
                             if (utility(element, hist), element.tiebreak) >= cutoff:
                                 break
@@ -124,7 +123,7 @@ class ReferenceSecretary(ps.StreamEmulator):
                     if best_key is None or key > best_key:
                         best_key = key
                         if chosen is None and j >= threshold:
-                            chosen = ps.LabeledPair(element, source.reveal(item))
+                            chosen = ps.LabeledPair(element, source.reveal(element))
                             chosen_key = key
                 if chosen is not None and chosen_key == best_key:
                     break
