@@ -67,9 +67,9 @@ def permutation_from_unit(u: float, size: int) -> tuple[int, ...]:
     """
     if size < 1:
         raise ValueError("size must be positive")
-    frac = u if u < 1.0 else math.nextafter(1.0, 0.0)
-    if not 0.0 <= frac < 1.0:
+    if not 0.0 <= u <= 1.0:  # also false for NaN
         raise ValueError(f"u={u} outside (0, 1]")
+    frac = u if u < 1.0 else math.nextafter(1.0, 0.0)
     available = list(range(size))
     perm = []
     for radix in range(size, 1, -1):

@@ -11,9 +11,10 @@ empirical distributions live on a common finite support:
   algorithms, and keeping selection order makes the comparison strictly
   sharper than the set-level one (the emulators match round by round).
 
-Exact distributions come from brute-force enumeration of small instances;
-empirical ones from batches of runs; they are compared by total
-variation distance with thresholds set by sampling-noise bounds.
+Exact distributions enumerate one pool per value multiset (valid under the
+``PoolAlgorithm`` permutation-invariance contract); empirical ones come from
+batches of runs; they are compared by total variation distance with
+thresholds set by sampling-noise bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,6 +34,7 @@ from .core import (
     PoolAlgorithm,
     RunRecord,
     SourceDistribution,
+    _checked_select,
 )
 from .constructions import CodedPoolAlgorithm, region_of, unit_from_permutation
 
@@ -95,7 +97,6 @@ class OutcomeDistribution:
     """Probability mass over canonical outcomes, exact or empirical."""
 
     support: dict[Outcome, float]
-    kind: str  # "exact" | "empirical"
     projection: str
     trials: int | None = None
 
@@ -150,87 +151,90 @@ def empirical_distribution(runs: Sequence[PairsLike],
     n = len(runs)
     counts = Counter(canonicalizer(run) for run in runs)
     return OutcomeDistribution({k: v / n for k, v in counts.items()},
-                               "empirical", canonicalizer.label, n)
+                               canonicalizer.label, n)
 
 
-def _branch_runs(alg: PoolAlgorithm, elements: list[Element], q: int,
-                 prob_one: Callable[[float], float],
-                 sink: Callable[[list[LabeledPair], float], None],
-                 weight: float) -> None:
-    """Run all response branches of one pool, feeding (history, weight) to sink."""
+def _exact_law(alg: PoolAlgorithm, pools: Iterable[tuple[list[Element], float]],
+               q: int, prob_one: Callable[[float], float],
+               canonicalizer: Canonicalizer) -> OutcomeDistribution:
+    """Exact canonical-outcome law over weighted pools.
 
-    def recurse(history: list[LabeledPair], selected: set[int], w: float) -> None:
+    Each pool is run through every response branch: a selection reveals 1
+    with probability ``prob_one(base)`` and 0 otherwise.  Selections go
+    through the same index check as :func:`~poolstream.core.interact_pool`.
+    """
+    masses: Counter[Outcome] = Counter()
+    history: list[LabeledPair] = []
+    selected: set[int] = set()
+
+    def recurse(elements: list[Element], w: float) -> None:
         if len(history) == q:
-            sink(history, w)
+            masses[canonicalizer(history)] += w
             return
-        idx = alg.select_next(elements, history, frozenset(selected))
+        idx = _checked_select(alg, elements, history, selected)
         selected.add(idx)
         p1 = prob_one(elements[idx].base)
         for response, pr in ((1, p1), (0, 1.0 - p1)):
             if pr > 0.0:
                 history.append(LabeledPair(elements[idx], response))
-                recurse(history, selected, w * pr)
+                recurse(elements, w * pr)
                 history.pop()
         selected.remove(idx)
 
-    recurse([], set(), weight)
+    for elements, weight in pools:
+        recurse(elements, weight)
+    return OutcomeDistribution(dict(masses), canonicalizer.label)
+
+
+def _multiset_pools(marginal: DiscreteMarginal,
+                    m: int) -> Iterator[tuple[list[Element], float]]:
+    """One pool per multiset of m symbols, weighted by its multinomial mass."""
+    m_factorial = math.factorial(m)
+    for combo in itertools.combinations_with_replacement(range(len(marginal.symbols)), m):
+        arrangements = m_factorial // math.prod(
+            math.factorial(len(list(run))) for _, run in itertools.groupby(combo))
+        weight = arrangements * math.prod(marginal.probs[i] for i in combo)
+        if weight > 0.0:
+            yield ([Element(marginal.symbols[i], (pos + 1.0) / (m + 1.0))
+                    for pos, i in enumerate(combo)], weight)
 
 
 def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
                             m: int, q: int) -> OutcomeDistribution:
     """Exact output distribution of a pool algorithm on i.i.d. pools of size m.
 
-    Discrete marginals are enumerated over all base tuples with multinomial
-    weights (tie-break coordinates are synthesized per slot; valid whenever
-    the algorithm's base-level output does not depend on them, which holds
-    for value-driven algorithms).  Single-interval marginals are enumerated
-    over the m! relative orders, valid for order-driven algorithms with a
-    base-independent response law.
+    By the :class:`~poolstream.core.PoolAlgorithm` contract (permutation
+    invariance at the value level) one ordering per value multiset carries
+    the multiset's whole mass.  Discrete marginals are enumerated over symbol
+    multisets with multinomial weights (tie-break coordinates are synthesized
+    per slot; valid whenever the algorithm's base-level output does not
+    depend on them, which holds for value-driven algorithms).  A
+    single-interval marginal is one pool of m ranked representatives, valid
+    for order-driven algorithms with a base-independent response law.
     """
     marginal = dist.marginal
     if isinstance(marginal, DiscreteMarginal):
         k = len(marginal.symbols)
-        if (k ** m) * (2 ** m) > _ENUM_BUDGET:
+        if math.comb(m + k - 1, k - 1) * 2 ** q > _ENUM_BUDGET:
             raise TooLargeToEnumerate(
-                f"{k}^{m} pools x 2^{m} responses exceeds the enumeration budget")
-        canonicalizer = DiscreteProjection()
-        masses: Counter[Outcome] = Counter()
-
-        def sink(history, w):
-            masses[canonicalizer(history)] += w
-
-        for combo in itertools.product(range(k), repeat=m):
-            weight = math.prod(marginal.probs[i] for i in combo)
-            if weight == 0.0:
-                continue
-            elements = [Element(marginal.symbols[i], (pos + 1.0) / (m + 1.0))
-                        for pos, i in enumerate(combo)]
-            _branch_runs(alg, elements, q, dist.prob_one, sink, weight)
-        return OutcomeDistribution(dict(masses), "exact", canonicalizer.label)
+                f"C({m + k - 1}, {k - 1}) multisets x 2^{q} responses "
+                "exceeds the enumeration budget")
+        return _exact_law(alg, _multiset_pools(marginal, m), q, dist.prob_one,
+                          DiscreteProjection())
 
     if len(marginal.pieces) != 1:
         raise TooLargeToEnumerate(
             "multi-piece interval marginals are not purely order-driven; "
             "use a fixture-specific enumerator")
-    if dist.constant_response is None:
+    p_one = dist.constant_response
+    if p_one is None:
         raise TooLargeToEnumerate(
             "order-statistics enumeration needs a base-independent response law")
-    if m > 7:
-        raise TooLargeToEnumerate(f"{m}! orderings exceed the enumeration budget")
+    if 2 ** q > _ENUM_BUDGET:
+        raise TooLargeToEnumerate(f"2^{q} responses exceed the enumeration budget")
     lo, hi, _ = marginal.pieces[0]
-    reps = [lo + (r + 1.0) / (m + 1.0) * (hi - lo) for r in range(m)]
-    canonicalizer = RankPattern()
-    masses = Counter()
-
-    def sink(history, w):
-        masses[canonicalizer(history)] += w
-
-    p_one = dist.constant_response
-    base_weight = 1.0 / math.factorial(m)
-    for order in itertools.permutations(range(m)):
-        elements = [Element(reps[r], 0.0) for r in order]
-        _branch_runs(alg, elements, q, lambda _b: p_one, sink, base_weight)
-    return OutcomeDistribution(dict(masses), "exact", canonicalizer.label)
+    reps = [Element(lo + (r + 1.0) / (m + 1.0) * (hi - lo), 0.0) for r in range(m)]
+    return _exact_law(alg, [(reps, 1.0)], q, lambda _b: p_one, RankPattern())
 
 
 def two_region_rank_pattern() -> RankPattern:
@@ -251,31 +255,24 @@ def two_region_exact_distribution(m: int, q: int,
         raise ValueError("m must be at least 2")
     if not 0.0 <= response_one <= 1.0:
         raise ValueError("response_one must lie in [0, 1]")
-    alg = CodedPoolAlgorithm(m, q)
-    canonicalizer = two_region_rank_pattern()
-    masses: Counter[Outcome] = Counter()
 
-    def sink(history, w):
-        masses[canonicalizer(history)] += w
+    def pools() -> Iterator[tuple[list[Element], float]]:
+        p_high = 1.0 / m
+        for n_high in range(m + 1):
+            weight = (math.comb(m, n_high) * p_high ** n_high
+                      * (1.0 - p_high) ** (m - n_high))
+            n_low = m - n_high
+            lows = [Element((r + 1.0) / (n_low + 1.0), 0.0) for r in range(n_low)]
+            if n_high == 1:
+                share = weight / math.factorial(m - 1)
+                for perm in itertools.permutations(range(m - 1)):
+                    yield lows + [Element(1.0 + unit_from_permutation(perm), 0.0)], share
+            else:
+                yield lows + [Element(1.0 + (r + 1.0) / (n_high + 1.0), 0.0)
+                              for r in range(n_high)], weight
 
-    p_high = 1.0 / m
-    for n_high in range(m + 1):
-        weight = (math.comb(m, n_high) * p_high ** n_high
-                  * (1.0 - p_high) ** (m - n_high))
-        n_low = m - n_high
-        lows = [Element((r + 1.0) / (n_low + 1.0), 0.0) for r in range(n_low)]
-        if n_high == 1:
-            share = weight / math.factorial(m - 1)
-            for perm in itertools.permutations(range(m - 1)):
-                hi = Element(1.0 + unit_from_permutation(perm), 0.0)
-                _branch_runs(alg, lows + [hi], q,
-                             lambda _b: response_one, sink, share)
-        else:
-            highs = [Element(1.0 + (r + 1.0) / (n_high + 1.0), 0.0)
-                     for r in range(n_high)]
-            _branch_runs(alg, lows + highs, q,
-                         lambda _b: response_one, sink, weight)
-    return OutcomeDistribution(dict(masses), "exact", canonicalizer.label)
+    return _exact_law(CodedPoolAlgorithm(m, q), pools(), q, lambda _b: response_one,
+                      two_region_rank_pattern())
 
 
 def first_q_exact_distribution(q: int, response_one: float = 0.0,
@@ -294,4 +291,4 @@ def first_q_exact_distribution(q: int, response_one: float = 0.0,
             if w > 0.0:
                 key = tuple((0, perm[i], responses[i]) for i in range(q))
                 masses[key] = masses.get(key, 0.0) + w
-    return OutcomeDistribution(masses, "exact", label)
+    return OutcomeDistribution(masses, label)

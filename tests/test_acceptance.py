@@ -124,7 +124,7 @@ def test_criterion_2_secretary_asymptotics():
 def test_criterion_3_utility_stream_equivalence(utility_batches):
     canon = ps.RankPattern()
     worst = 0.0
-    for m, q in ((3, 1), (4, 2), (5, 2)):
+    for m, q in ((3, 1), (4, 2), (5, 2), (10, 5)):
         exact = ps.exact_pool_distribution(greedy(m, q), ps.uniform_interval(), m, q)
         emp = ps.empirical_distribution(utility_batches[(m, q)], canon)
         worst = max(worst, ps.tv_distance(exact, emp))

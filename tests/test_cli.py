@@ -295,6 +295,10 @@ GOLDEN_CSV = {
                     "gen", "--m", "4", "--q", "2", "--trials", "2000", "--seed", "1",
                     "--tv-threshold", "0.05"],
                    "d13adecf5b3281542ada5b7aaaea047ab631fecd45b671995694a848c2d9cd99"),
+    "equiv-test-interval": (["equiv-test", "--fixture", "greedy-max", "--emulator",
+                             "utility-stream", "--m", "4", "--q", "2", "--trials",
+                             "2000", "--seed", "1"],
+                            "f5a04fe5cbda2550b46c832be99ee2e40c0ac629b879dfacd7f7b90dbea90af0"),
     "iter-bench": (["iter-bench", "--fixture", "greedy-max", "--emulator",
                     "utility-stream", "--m", "10", "--q", "5", "--trials", "300",
                     "--seed", "1"],

@@ -44,7 +44,8 @@ class TestPermutationCoding:
                     assert type(got) is tuple and got == fresh(*args), args
         # Errors are never cached: each bad call raises again, also right
         # after a valid call or the same bad call.
-        for bad in ((-0.25, 3), (-5e-324, 1), (0.5, 0), (0.5, -1)):
+        for bad in ((-0.25, 3), (-5e-324, 1), (0.5, 0), (0.5, -1),
+                    (1.5, 4), (math.nan, 4), (-0.1, 4)):
             decode(0.5, 3)
             for _ in range(3):
                 with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poolstream as ps
-from poolstream.cli import run_trials
+from poolstream.cli import build_fixture, run_trials
+from poolstream.core import ContractViolation
 from poolstream.stats import InsufficientSamples, TooLargeToEnumerate
 
 
@@ -56,7 +57,7 @@ class TestCanonicalization:
 
 class TestTvDistance:
     def dist(self, masses, projection="discrete"):
-        return ps.OutcomeDistribution(dict(masses), "exact", projection)
+        return ps.OutcomeDistribution(dict(masses), projection)
 
     def test_identical_is_zero(self):
         d = self.dist({("a",): 0.5, ("b",): 0.5})
@@ -173,13 +174,36 @@ class TestExactPoolDistribution:
             assert ps.DiscreteProjection()(record) == target
 
     def test_discrete_budget_guard(self):
+        # C(39, 9) multisets x 2^2 responses is about 8.5e8.
         dist = ps.uniform_symbols(10)
         with pytest.raises(TooLargeToEnumerate):
-            ps.exact_pool_distribution(greedy(8, 2, tie_break="index"), dist, 8, 2)
+            ps.exact_pool_distribution(greedy(30, 2, tie_break="index"), dist, 30, 2)
+
+    def test_m10_q5_laws_enumerate(self):
+        out = build_fixture("greedy-max", 10, 5).exact()
+        assert out.support == {
+            ((0, 5, 0), (0, 4, 0), (0, 3, 0), (0, 2, 0), (0, 1, 0)): pytest.approx(1.0)}
+        out = build_fixture("greedy-max-discrete", 10, 5).exact()
+        assert out.total() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("pick", [lambda selected: True,
+                                      lambda selected: min(selected, default=0)],
+                             ids=["bool-index", "repeated-index"])
+    def test_selection_contract_is_enforced(self, pick):
+        class Broken(ps.PoolAlgorithm):
+            m, q = 3, 2
+
+            def select_next(self, elements, history, selected):
+                return pick(selected)
+
+        for dist in (ps.uniform_symbols(2), ps.uniform_interval()):
+            with pytest.raises(ContractViolation):
+                ps.exact_pool_distribution(Broken(), dist, 3, 2)
 
     def test_rank_mode_guards(self):
+        # One pool, but 2^24 response branches.
         with pytest.raises(TooLargeToEnumerate):
-            ps.exact_pool_distribution(greedy(8, 2), ps.uniform_interval(), 8, 2)
+            ps.exact_pool_distribution(greedy(30, 24), ps.uniform_interval(), 30, 24)
         varying = ps.SourceDistribution(
             ps.IntervalMarginal(((0.0, 1.0, 1.0),)), lambda b: b, atomless=True)
         with pytest.raises(TooLargeToEnumerate):
