@@ -441,8 +441,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg["subcommand"] = args.subcommand
     if not 0 <= cfg["seed"] < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    if cfg["q"] > cfg["m"]:
-        raise ValueError(f"q={cfg['q']} exceeds m={cfg['m']}")
+    grid = cfg["m_grid"] if args.subcommand == "lowerbound-demo" else None
+    for m in grid or [cfg["m"]]:
+        if cfg["q"] > m:
+            raise ValueError(f"q={cfg['q']} exceeds m={m}")
     if cfg["trials"] < 1:
         raise ValueError("trials must be positive")
     return cfg

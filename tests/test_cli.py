@@ -201,6 +201,17 @@ class TestLowerboundDemo:
                         "--q", "3", "--m", "3", "--m-grid", "3",
                         "--trials", "200", "--seed", "15"]) == 1
 
+    def test_budget_is_checked_against_the_grid(self, capsys):
+        args = ["lowerbound-demo", "--fixture", "thm6-chain", "--q", "5",
+                "--trials", "3"]
+        assert run_cli(args + ["--m-grid", "64"]) == 0
+        capsys.readouterr()
+        assert run_cli(args + ["--m-grid", "4,64"]) == 1
+        assert "q=5 exceeds m=4" in capsys.readouterr().err
+        # Only lowerbound-demo reads the grid; elsewhere q is checked against --m.
+        assert run_cli(["iter-bench", "--m", "3", "--q", "5", "--m-grid", "8"]) == 1
+        assert "q=5 exceeds m=3" in capsys.readouterr().err
+
     def test_coded_demo_grows_with_m(self, tmp_path):
         out = tmp_path / "demo.csv"
         code = run_cli(["lowerbound-demo", "--fixture", "thm3-good-pool",

@@ -90,6 +90,26 @@ def test_table_monotone_and_bounded_below():
         prev = p
 
 
+def rational_argmax_threshold(n):
+    """Optimal threshold by exact rational argmax of phi, ties to the smaller r."""
+    tails = [Fraction(0)] * (n + 2)
+    for r in range(n, 1, -1):
+        tails[r] = tails[r + 1] + Fraction(1, r - 1)
+    phis = [Fraction(1, n)] + [Fraction(r - 1, n) * tails[r] for r in range(2, n + 1)]
+    return max(range(n), key=lambda i: (phis[i], -i)) + 1
+
+
+def test_thresholds_equal_rational_argmax_up_to_256():
+    expected = [rational_argmax_threshold(n) for n in range(1, 257)]
+    assert [optimal_policy(n).threshold for n in range(1, 257)] == expected
+    assert [(n, r) for n, r, _ in policy_table(256)] == list(enumerate(expected, 1))
+
+
+def test_bool_horizon_is_rejected():
+    with pytest.raises(InvalidHorizon):
+        optimal_policy(True)
+
+
 def test_invalid_horizon():
     with pytest.raises(InvalidHorizon):
         optimal_policy(0)
