@@ -12,6 +12,7 @@ are driven here, with uniform accounting of
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -74,6 +75,11 @@ class Element(NamedTuple):
 
     base: float
     tiebreak: float
+
+
+# Builds a pair, element or record without the namedtuple's own ``__new__``,
+# a Python function that costs about as much again.
+_new = tuple.__new__
 
 
 class LabeledPair(NamedTuple):
@@ -165,31 +171,23 @@ class SourceDistribution:
     def sampling_table(self) -> tuple:
         """``(symbols, cum, pieces)`` for drawing bases from uniforms.
 
-        ``cum`` holds the cumulative masses.  For a discrete marginal
-        ``symbols`` is an object array of its own symbols, so that picking by
-        index keeps their Python type, and ``pieces`` is None.  For an
-        interval marginal ``symbols`` is None and ``pieces`` holds, per
-        piece, the arrays ``(lo, start, mass, hi - lo)``, where ``start`` is
+        ``cum`` lists the cumulative masses.  For a discrete marginal
+        ``symbols`` is its own tuple of symbols and ``pieces`` is None.  For
+        an interval marginal ``symbols`` is None and ``pieces`` holds, per
+        piece, ``(lo, start, mass, hi - lo)``, where ``start`` is
         ``cum - mass``.
         """
         marginal = self.marginal
         if isinstance(marginal, DiscreteMarginal):
-            symbols = np.fromiter(marginal.symbols, dtype=object,
-                                  count=len(marginal.symbols))
-            return symbols, np.cumsum(marginal.probs), None
-        lo, hi, mass = (np.array(col) for col in zip(*marginal.pieces))
-        cum = np.cumsum(mass)
-        return None, cum, (lo, cum - mass, mass, hi - lo)
+            return marginal.symbols, np.cumsum(marginal.probs).tolist(), None
+        cum = np.cumsum([mass for _, _, mass in marginal.pieces]).tolist()
+        return None, cum, [(lo, c - mass, mass, hi - lo)
+                           for (lo, hi, mass), c in zip(marginal.pieces, cum)]
 
     @cached_property
-    def response_table(self) -> tuple:
-        """``(prob_one, p1)``: the response law with its kind tested once.
-
-        ``prob_one`` maps a base to P[response = 1 | base].  ``p1`` holds
-        that probability for each index of :attr:`sampling_table` (symbol or
-        piece); it is None only for an interval marginal under a law that
-        depends on the base.
-        """
+    def response_table(self) -> Callable[[float], float]:
+        """P[response = 1 | base] as a function of the base, with the law's
+        kind tested once."""
         law = self.response_one
         const = self.constant_response
         if const is not None:
@@ -203,17 +201,28 @@ class SourceDistribution:
         else:
             def prob_one(base):
                 return float(law(base))
-        if self.is_discrete:
-            p1 = np.array([prob_one(s) for s in self.marginal.symbols])
-        elif const is not None:
-            p1 = np.full(len(self.marginal.pieces), const)
-        else:
-            p1 = None
-        return prob_one, p1
+        return prob_one
+
+    @cached_property
+    def pair_table(self) -> tuple:
+        """``(width, top)``: the layout of a stream pair.
+
+        Every pair takes ``width`` consecutive uniforms: one for the base,
+        one for the tie-break if the source is atomless, and one for the
+        response unless the law is the constant 0 or 1.  ``top`` is the
+        index of the last entry of :attr:`sampling_table` with positive
+        mass: a uniform at or beyond the last cumulative mass (float sums of
+        the masses can fall short of 1) selects it.
+        """
+        masses = (self.marginal.probs if self.is_discrete
+                  else [mass for _, _, mass in self.marginal.pieces])
+        top = max(i for i, mass in enumerate(masses) if mass > 0)
+        width = 1 + self.atomless + (self.constant_response not in (0.0, 1.0))
+        return width, top
 
     def prob_one(self, base: float) -> float:
         """P[response = 1 | base]."""
-        return self.response_table[0](base)
+        return self.response_table(base)
 
 
 def uniform_symbols(k: int, *, atomless: bool = False,
@@ -361,30 +370,25 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 #: First and largest uniform block a :class:`StreamSource` draws.
 _FIRST_BLOCK, _MAX_BLOCK = 64, 4096
 
-# Builds a pair or element without the namedtuple's own ``__new__``, a Python
-# function that costs about as much again.
-_new = tuple.__new__
-
 
 class StreamSource:
     """Lazily samples stream elements from a source law with cap enforcement.
 
-    :meth:`next` hands out bare elements; their pre-sampled responses stay
-    inside.  The single point where a response becomes visible is
-    :meth:`reveal`, which increments ``n_sel`` and unseals only the element
-    the latest :meth:`next` returned, and that once: a stream algorithm can
-    select an element only immediately after observing it.
+    :meth:`next` hands out bare elements; their responses stay undrawn.  The
+    single point where a response becomes visible is :meth:`reveal`, which
+    increments ``n_sel`` and unseals only the element the latest
+    :meth:`next` returned, and that once: a stream algorithm can select an
+    element only immediately after observing it.
 
-    Every pair uses the same number ``w`` of consecutive uniforms: one for
-    the base, one for the tie-break if the source is atomless, and one for
-    the response unless the law is the constant 0 or 1.  Uniforms are drawn
-    in blocks that start at 64 and double up to 4096, so a short run draws
-    few.  Each block, after the up to ``w - 1`` uniforms left over from the
-    previous one, is cut into ``w`` columns and all its whole pairs are
-    decoded at once with numpy; :meth:`next` hands them out one at a time.
-    PCG64 doubles concatenate across calls, so the uniforms are the
-    generator's own sequence whatever the block sizes; the generator's
-    state runs ahead of the uniforms used.
+    Every pair uses the same number of consecutive uniforms (see
+    :attr:`SourceDistribution.pair_table`); the response's uniform comes
+    last.  Uniforms are drawn in blocks that start at 64 and double up to
+    4096, so a short run draws few, and are kept as a Python list.
+    :meth:`next` decodes only the element it hands out, and :meth:`reveal`
+    decodes the response from that pair's last uniform, so the response
+    law runs only for revealed elements.  PCG64 doubles concatenate across
+    calls, so the uniforms are the generator's own sequence whatever the
+    block sizes; the generator's state runs ahead of the uniforms used.
 
     ``round_attempts`` is where an emulator that works in rounds leaves its
     per-round attempt counts (only :class:`~poolstream.emulators.SecretaryEmulator`
@@ -392,8 +396,8 @@ class StreamSource:
     """
 
     __slots__ = ("dist", "max_iter", "n_iter", "n_sel", "round_attempts", "_rng",
-                 "_block", "_spill", "_pos", "_bases", "_tiebreaks", "_responses",
-                 "_last", "_revealed")
+                 "_block", "_uniforms", "_pos", "_width", "_top", "_atomless",
+                 "_symbols", "_cum", "_pieces", "_prob_one", "_last", "_revealed")
 
     def __init__(self, dist: SourceDistribution, rng: np.random.Generator,
                  max_iter: int = DEFAULT_MAX_ITER):
@@ -404,50 +408,14 @@ class StreamSource:
         self.round_attempts: tuple[int, ...] | None = None
         self._rng = rng
         self._block = _FIRST_BLOCK
-        self._spill = None  # uniforms after the last whole pair of a block
-        self._pos = 0
-        self._bases: list = []
-        self._tiebreaks: list[float] = []
-        self._responses: list[int] = []
+        self._uniforms: list[float] = []
+        self._pos = 0  # where the next pair's uniforms start
+        self._width, self._top = dist.pair_table
+        self._atomless = dist.atomless
+        self._symbols, self._cum, self._pieces = dist.sampling_table
+        self._prob_one = dist.response_table
         self._last = None  # the element next() returned, until revealed
         self._revealed: list[LabeledPair] = []
-
-    def _decode(self) -> None:
-        """Draw the next uniform block and decode all of its whole pairs."""
-        dist = self.dist
-        const = dist.constant_response
-        draws_response = const not in (0.0, 1.0)
-        atomless = dist.atomless
-        w = 1 + atomless + draws_response
-        block = self._block
-        self._block = min(2 * block, _MAX_BLOCK)
-        u = self._rng.random(block)
-        if self._spill is not None:
-            u = np.concatenate((self._spill, u))
-        end = len(u) - len(u) % w
-        self._spill = u[end:] if end < len(u) else None
-        base_u = u[0:end:w]
-        symbols, cum, pieces = dist.sampling_table
-        # bisect_right clamped to the last index: cum is non-decreasing, so
-        # searching all but its last entry gives the same index.
-        idx = cum[:-1].searchsorted(base_u, "right")
-        if pieces is None:
-            bases = symbols[idx].tolist()
-        else:
-            # The scalar lo + clip((u - (cum - mass)) / mass) * (hi - lo), op
-            # for op; the per-piece terms are computed once in the table.
-            lo, start, mass, span = (col[idx] for col in pieces)
-            frac = np.minimum(np.maximum((base_u - start) / mass, 0.0), 1.0)
-            bases = (lo + frac * span).tolist()
-        n = len(bases)
-        self._bases = bases
-        self._tiebreaks = u[1:end:w].tolist() if atomless else [0.0] * n
-        if draws_response:
-            prob_one, p1 = dist.response_table
-            p = p1[idx] if p1 is not None else [prob_one(b) for b in bases]
-            self._responses = (u[w - 1:end:w] < p).view(np.uint8).tolist()
-        else:
-            self._responses = [int(const)] * n
 
     def next(self) -> Element:
         """Observe the next stream element, counting it toward ``n_iter``."""
@@ -456,11 +424,32 @@ class StreamSource:
                                        self.revealed)
         self.n_iter += 1
         pos = self._pos
-        if pos == len(self._bases):
-            self._decode()
+        end = pos + self._width
+        u = self._uniforms
+        if end > len(u):
+            # Keep the uniforms after the last whole pair of the old block.
+            block = self._block
+            self._block = min(2 * block, _MAX_BLOCK)
+            self._uniforms = u = u[pos:] + self._rng.random(block).tolist()
+            end -= pos
             pos = 0
-        self._pos = pos + 1
-        self._last = element = _new(Element, (self._bases[pos], self._tiebreaks[pos]))
+        self._pos = end
+        x = u[pos]
+        # bisect_right over cum[:top] is bisect_right over cum, clamped to
+        # top; with one entry of positive mass there is nothing to search.
+        top = self._top
+        i = bisect_right(self._cum, x, 0, top) if top else 0
+        pieces = self._pieces
+        if pieces is None:
+            base = self._symbols[i]
+        else:
+            lo, start, mass, span = pieces[i]
+            # lo + min(max(frac, 0.0), 1.0) * span, nan and -0.0 included,
+            # without the cost of two builtin calls.
+            frac = (x - start) / mass
+            base = lo + (0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac) * span
+        tiebreak = u[pos + 1] if self._atomless else 0.0
+        self._last = element = _new(Element, (base, tiebreak))
         return element
 
     def reveal(self, element: Element) -> int:
@@ -476,7 +465,9 @@ class StreamSource:
                 "revealed twice" if done else "is not the element just observed"))
         self._last = None
         self.n_sel += 1
-        response = self._responses[self._pos - 1]
+        # The pair's last uniform.  Under a constant 0 or 1 law the pair has
+        # no response uniform, but any uniform in [0, 1) gives that constant.
+        response = int(self._uniforms[self._pos - 1] < self._prob_one(element.base))
         self._revealed.append(_new(LabeledPair, (element, response)))
         return response
 
@@ -493,8 +484,7 @@ def sample_pool(dist: SourceDistribution, m: int, rng: np.random.Generator) -> l
     return list(source.revealed)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One run's output plus its cost counters.
 
     ``output`` keeps selection order; compare as an unordered multiset when
@@ -573,7 +563,7 @@ def run_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair], q: int) -> RunReco
     if getattr(alg, "m", m) != m:
         raise ValueError(f"pool algorithm expects m={alg.m}, got pool of size {m}")
     history = interact_pool(alg, pool, q)
-    return RunRecord(tuple(history), n_sel=q, n_iter=m)
+    return _new(RunRecord, (tuple(history), q, m, None))
 
 
 def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
@@ -590,5 +580,5 @@ def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
     output = emulator.run(source, q)
     if len(output) != q:
         raise ContractViolation(f"emulator returned {len(output)} pairs, expected {q}")
-    return RunRecord(tuple(output), n_sel=source.n_sel, n_iter=source.n_iter,
-                     round_attempts=source.round_attempts)
+    return _new(RunRecord, (tuple(output), source.n_sel, source.n_iter,
+                            source.round_attempts))

@@ -36,6 +36,7 @@ from .core import (
     StreamSource,
     TieDetected,
     _checked_select,
+    _new,
     interact_pool,
 )
 from .secretary import cached_policy
@@ -88,25 +89,26 @@ class FirstQEmulator(StreamEmulator):
         out = []
         for _ in range(q):
             element = source.next()
-            out.append(LabeledPair(element, source.reveal(element)))
+            out.append(_new(LabeledPair, (element, source.reveal(element))))
         return tuple(out)
 
 
 class WaitEmulator(StreamEmulator):
     """Observe a pool-sized prefix, then wait for each chosen value to recur.
 
-    Requires a source with atoms: over an atomless source no value ever
-    recurs, so the wait would only ever end at the iteration cap.
+    Requires a discrete source without tie-breaks: over an atomless source
+    or an interval marginal no value ever recurs, so the wait would only
+    ever end at the iteration cap.
     """
 
     def __init__(self, pool_alg: PoolAlgorithm):
         self.pool_alg = pool_alg
 
     def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
-        if source.dist.atomless:
+        if source.dist.atomless or not source.dist.is_discrete:
             raise AtomlessDistribution(
                 "the wait emulator needs exact value recurrences; "
-                "use a source with atoms")
+                "use a discrete source without tie-breaks")
         alg = self.pool_alg
         elements = [source.next() for _ in range(alg.m)]  # never revealed
         history: list[LabeledPair] = []
@@ -119,7 +121,7 @@ class WaitEmulator(StreamEmulator):
                 if element == target:
                     break
             selected.add(idx)
-            history.append(LabeledPair(element, source.reveal(element)))
+            history.append(_new(LabeledPair, (element, source.reveal(element))))
         return tuple(history)
 
 
@@ -133,7 +135,7 @@ class NowaitEmulator(StreamEmulator):
         pool = []
         for _ in range(self.pool_alg.m):
             element = source.next()
-            pool.append(LabeledPair(element, source.reveal(element)))
+            pool.append(_new(LabeledPair, (element, source.reveal(element))))
         return tuple(interact_pool(self.pool_alg, pool, q))
 
 
@@ -175,7 +177,7 @@ class RejectionEmulator(StreamEmulator):
                     break
             # The last draw, just observed, is the one the replay selected.
             element = elements[k] = elements[m - 1]
-            committed.append(LabeledPair(element, source.reveal(element)))
+            committed.append(_new(LabeledPair, (element, source.reveal(element))))
         return tuple(committed)
 
     def _replay_accepts(self, committed: list[LabeledPair],
@@ -256,7 +258,7 @@ class SecretaryEmulator(StreamEmulator):
                     if best_key is None or key > best_key:
                         best_key = key
                         if chosen is None and j >= threshold:
-                            chosen = LabeledPair(element, source.reveal(element))
+                            chosen = _new(LabeledPair, (element, source.reveal(element)))
                             chosen_key = key
                 if chosen is not None and chosen_key == best_key:
                     break

@@ -298,7 +298,9 @@ class TestHypothesisFixture:
                         "--variant", "8", "--trials", "10"]) == 1
 
 
-# sha256 of the README's CLI examples at small trial counts.  Any change to a
+# sha256 of the README's CLI examples, and of one run per stream decode path
+# (two interval pieces; three uniforms per pair under a mapping law; no
+# tie-break), at small trial counts.  Any change to a
 # seeded stream (trial RNG derivation, uniform buffering, sampling) changes
 # these bytes; such a change must be deliberate and explained.
 GOLDEN_CSV = {
@@ -310,6 +312,17 @@ GOLDEN_CSV = {
                              "utility-stream", "--m", "4", "--q", "2", "--trials",
                              "2000", "--seed", "1"],
                             "f5a04fe5cbda2550b46c832be99ee2e40c0ac629b879dfacd7f7b90dbea90af0"),
+    "equiv-test-atoms": (["equiv-test", "--fixture", "greedy-max-atoms", "--emulator",
+                          "wait", "--m", "4", "--q", "2", "--trials", "2000", "--seed",
+                          "1", "--tv-threshold", "0.05"],
+                         "04bf5ebb6a842591ca82eaa3464cd18172e325fb4b429cfa6851bb901fe5b547"),
+    "equiv-test-nowait": (["equiv-test", "--fixture", "greedy-max-discrete", "--emulator",
+                           "nowait", "--m", "4", "--q", "2", "--trials", "2000", "--seed",
+                           "1", "--tv-threshold", "0.05"],
+                          "53bce2962ee3d063ff1ec3db68c7f6056fe9cd20f30a15e40033f853ed1f40b6"),
+    "equiv-test-pieces": (["equiv-test", "--fixture", "thm3-good-pool", "--emulator", "gen",
+                           "--m", "4", "--q", "2", "--trials", "2000", "--seed", "1"],
+                          "a64cb6f48137e83131c2ff82e8a1e3fb8bd7e3f333bbb9eb630a8da38c2555e9"),
     "iter-bench": (["iter-bench", "--fixture", "greedy-max", "--emulator",
                     "utility-stream", "--m", "10", "--q", "5", "--trials", "300",
                     "--seed", "1"],

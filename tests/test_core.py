@@ -360,6 +360,8 @@ DECODER_SOURCES = {
         ps.DiscreteMarginal((0, 1, 2), (0.25, 0.25, 0.5)), {1: 0.9, 2: 0.4},
         atomless=True),
     "law-one": ps.uniform_symbols(4, response_one=1.0),
+    "pieces-without-tiebreak": ps.SourceDistribution(
+        ps.IntervalMarginal(((-1.0, 0.0, 0.4), (2.0, 2.5, 0.6))), 0.3, atomless=False),
 }
 
 
@@ -402,6 +404,46 @@ def test_uniforms_beyond_the_last_cumulative_mass(dist):
     got = [reveal_next(src) for _ in range(12)]
     assert got == scalar_pairs(dist, rng, 12)
     assert got[0].element.base in (9, 10.0)
+
+
+@pytest.mark.parametrize("dist", [
+    ps.SourceDistribution(
+        ps.DiscreteMarginal(tuple(range(11)), (0.1,) * 10 + (0.0,)), 0.5),
+    ps.SourceDistribution(
+        ps.IntervalMarginal(tuple((i, i + 1, 0.1) for i in range(10)) + ((10, 11, 0.0),)),
+        0.5, True),
+], ids=["symbols", "pieces"])
+def test_zero_mass_last_entry_is_never_drawn(dist):
+    # The largest uniform below 1 lies beyond the float sum of the masses;
+    # it must select the last entry of positive mass, not the zero-mass one.
+    top = np.nextafter(1.0, 0.0)
+    src = StreamSource(dist, ScriptedRng([top]))
+    for _ in range(100):
+        pair = reveal_next(src)
+        assert pair.element.base == (9 if dist.is_discrete else 10.0)
+        assert pair.response == 0
+
+
+def test_responses_stay_sealed_until_reveal():
+    # A response law runs only for revealed elements, once each.
+    calls = []
+
+    def law(base):
+        calls.append(base)
+        return 0.5
+
+    dist = ps.uniform_interval(response_one=law)
+    src = StreamSource(dist, ps.trial_rng(18, 0))
+    element = src.next()
+    assert calls == []
+    src.reveal(element)
+    assert calls == [element.base]
+    for t in range(20):
+        calls.clear()
+        record = ps.run_stream(ps.SecretaryEmulator(lambda e, h: e.base, 5), dist, 2,
+                               ps.trial_rng(18, t))
+        assert len(calls) == record.n_sel
+        assert record.n_iter > record.n_sel
 
 
 def test_cap_is_raised_mid_block():

@@ -76,6 +76,14 @@ class TestWaitEmulator:
         with pytest.raises(ps.AtomlessDistribution):
             ps.run_stream(emulator, ps.uniform_interval(), 1, ps.trial_rng(22, 0))
 
+    def test_rejects_interval_marginal_without_tiebreaks(self):
+        # Not atomless by flag, yet no real base ever recurs.
+        emulator = ps.WaitEmulator(greedy(2, 1))
+        dist = ps.SourceDistribution(ps.IntervalMarginal(((0.0, 1.0, 1.0),)),
+                                     atomless=False)
+        with pytest.raises(ps.AtomlessDistribution):
+            ps.run_stream(emulator, dist, 1, ps.trial_rng(22, 1), max_iter=200000)
+
     def test_reveals_exactly_q(self):
         emulator = ps.WaitEmulator(greedy(4, 2, tie_break="index"))
         for record in batch(emulator, ps.uniform_symbols(3), 2, 23, 200):
