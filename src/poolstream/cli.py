@@ -100,38 +100,10 @@ EMULATOR_NAMES = ("wait", "nowait", "gen", "utility-stream", "first-q")
 
 
 def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
-    if name == "greedy-max":
-        dist = uniform_interval(0.0, 1.0)
-        alg = GreedyUtilityPool(base_utility, m, q)
-        return Fixture(name, m, q, dist, alg, RankPattern(),
-                       lambda: exact_pool_distribution(alg, dist, m, q),
-                       utility=base_utility)
-    if name == "greedy-max-discrete":
-        dist = uniform_symbols(3, atomless=True, response_one=_BERNOULLI_LAW)
-        alg = GreedyUtilityPool(base_utility, m, q)
-        return Fixture(name, m, q, dist, alg, DiscreteProjection(),
-                       lambda: exact_pool_distribution(alg, dist, m, q),
-                       utility=base_utility)
-    if name == "greedy-max-atoms":
-        dist = uniform_symbols(3, atomless=False, response_one=_BERNOULLI_LAW)
-        alg = GreedyUtilityPool(base_utility, m, q, tie_break="index")
-        return Fixture(name, m, q, dist, alg, DiscreteProjection(),
-                       lambda: exact_pool_distribution(alg, dist, m, q),
-                       utility=base_utility)
     if name == "thm3-good-pool":
-        dist = two_region_marginal(m)
-        alg = CodedPoolAlgorithm(m, q)
-        return Fixture(name, m, q, dist, alg, two_region_rank_pattern(),
+        return Fixture(name, m, q, two_region_marginal(m), CodedPoolAlgorithm(m, q),
+                       two_region_rank_pattern(),
                        lambda: two_region_exact_distribution(m, q))
-    if name == "thm6-chain":
-        chain = chain_fixture(m, q)
-        if not 0 <= variant <= q:
-            raise ValueError(f"variant must be in [0, {q}] for thm6-chain")
-        dist = chain.dists[variant]
-        alg = GreedyUtilityPool(chain.utility, m, q)
-        return Fixture(name, m, q, dist, alg, DiscreteProjection(),
-                       lambda: exact_pool_distribution(alg, dist, m, q),
-                       utility=chain.utility)
     if name == "ex1-hypotheses":
         # Bit-identification learner over its hypothesis class; ``variant``
         # is the target hypothesis index.  For iter-bench with the wait or
@@ -140,16 +112,35 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
         hc = hypothesis_class(q, T, q * (1 << T))
         if not 0 <= variant < (1 << q):
             raise ValueError(f"variant must be in [0, {(1 << q) - 1}] for ex1-hypotheses")
-        dist = hc.source(variant)
 
         def no_exact():
             raise TooLargeToEnumerate(
                 "ex1-hypotheses has no total exact output distribution: pools "
                 "missing the learner's query path abort; use iter-bench")
 
-        return Fixture(name, m, q, dist, BitIdentificationPool(hc, m),
+        return Fixture(name, m, q, hc.source(variant), BitIdentificationPool(hc, m),
                        DiscreteProjection(), no_exact)
-    raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    # The rest run the greedy utility maximiser, whose exact law
+    # exact_pool_distribution enumerates under the same projection rule.
+    utility, tie_break = base_utility, "error"
+    if name == "greedy-max":
+        dist = uniform_interval(0.0, 1.0)
+    elif name == "greedy-max-discrete":
+        dist = uniform_symbols(3, atomless=True, response_one=_BERNOULLI_LAW)
+    elif name == "greedy-max-atoms":
+        dist = uniform_symbols(3, atomless=False, response_one=_BERNOULLI_LAW)
+        tie_break = "index"
+    elif name == "thm6-chain":
+        chain = chain_fixture(m, q)
+        if not 0 <= variant <= q:
+            raise ValueError(f"variant must be in [0, {q}] for thm6-chain")
+        dist, utility = chain.dists[variant], chain.utility
+    else:
+        raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
+    alg = GreedyUtilityPool(utility, m, q, tie_break)
+    return Fixture(name, m, q, dist, alg,
+                   DiscreteProjection() if dist.is_discrete else RankPattern(),
+                   lambda: exact_pool_distribution(alg, dist, m, q), utility=utility)
 
 
 def build_emulator(name: str, fixture: Fixture) -> StreamEmulator:
@@ -355,7 +346,28 @@ _COMMANDS = {
     "lowerbound-demo": cmd_lowerbound_demo,
 }
 
-_INT_KEYS = ("m", "q", "trials", "seed", "max_iter", "n_max", "variant")
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+#: Every option, as ``key: (type, default, help)``.  ``key`` is its config
+#: file key and, with dashes for underscores, its flag; ``type`` converts
+#: a flag's value and a file's value alike.
+_OPTIONS = {
+    "seed": (int, 0, "root seed (64-bit)"),
+    "trials": (int, 10000, "trials per batch"),
+    "m": (int, 4, "pool size"),
+    "q": (int, 2, "selection budget"),
+    "fixture": (str, "greedy-max", ", ".join(FIXTURE_NAMES)),
+    "emulator": (str, "nowait", ", ".join(EMULATOR_NAMES)),
+    "max_iter": (int, DEFAULT_MAX_ITER, "cap on the elements one trial observes"),
+    "out": (str, None, "output CSV path (default: stdout)"),
+    "tv_threshold": (float, 0.02, "largest TV distance equiv-test passes"),
+    "n_max": (int, 100, "largest horizon for secretary-table"),
+    "m_grid": (_int_list, None, "comma-separated pool sizes for lowerbound-demo"),
+    "variant": (int, 0, "response-law index for thm6-chain (0..q)"),
+}
 
 
 def _meta(cfg: dict) -> dict:
@@ -363,7 +375,11 @@ def _meta(cfg: dict) -> dict:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' starts a comment, blank lines ignored."""
+    """Flat key=value lines; '#' starts a comment, blank lines ignored.
+
+    Keys are option names (``max-iter`` or ``max_iter``), converted like
+    their flags; an unknown key is an error.
+    """
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -373,7 +389,10 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _OPTIONS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = _OPTIONS[key][0](value.strip())
     return out
 
 
@@ -391,53 +410,19 @@ def _build_parser() -> _Parser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="root seed (64-bit)")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--m", type=int, help="pool size")
-        p.add_argument("--q", type=int, help="selection budget")
-        p.add_argument("--fixture", help=", ".join(FIXTURE_NAMES))
-        p.add_argument("--emulator", help=", ".join(EMULATOR_NAMES))
-        p.add_argument("--max-iter", type=int, dest="max_iter")
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--tv-threshold", type=float, dest="tv_threshold")
-        p.add_argument("--n-max", type=int, dest="n_max",
-                       help="largest horizon for secretary-table")
-        p.add_argument("--m-grid", dest="m_grid",
-                       help="comma-separated pool sizes for lowerbound-demo")
-        p.add_argument("--variant", type=int,
-                       help="response-law index for thm6-chain (0..q)")
+        for key, (type_, _, help_) in _OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=type_, help=help_)
     return parser
 
 
-_DEFAULTS = {
-    "fixture": "greedy-max",
-    "emulator": "nowait",
-    "m": 4,
-    "q": 2,
-    "trials": 10000,
-    "seed": 0,
-    "max_iter": DEFAULT_MAX_ITER,
-    "tv_threshold": 0.02,
-    "n_max": 100,
-    "variant": 0,
-    "m_grid": None,
-    "out": None,
-}
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, default, _) in _OPTIONS.items()}
     if args.config:
         cfg.update(parse_config_file(args.config))
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
+    for key in _OPTIONS:
+        value = getattr(args, key)
+        if value is not None:  # a flag overrides the file
             cfg[key] = value
-    for key in _INT_KEYS:
-        cfg[key] = int(cfg[key])
-    cfg["tv_threshold"] = float(cfg["tv_threshold"])
-    if isinstance(cfg["m_grid"], str):
-        cfg["m_grid"] = [int(x) for x in cfg["m_grid"].split(",") if x.strip()]
     cfg["subcommand"] = args.subcommand
     if not 0 <= cfg["seed"] < 2**64:
         raise ValueError("seed must fit in 64 bits")

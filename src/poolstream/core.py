@@ -169,60 +169,41 @@ class SourceDistribution:
 
     @cached_property
     def sampling_table(self) -> tuple:
-        """``(symbols, cum, pieces)`` for drawing bases from uniforms.
+        """``(symbols, cum, pieces, width, top)``: the decode plan of a stream pair.
 
-        ``cum`` lists the cumulative masses.  For a discrete marginal
-        ``symbols`` is its own tuple of symbols and ``pieces`` is None.  For
-        an interval marginal ``symbols`` is None and ``pieces`` holds, per
-        piece, ``(lo, start, mass, hi - lo)``, where ``start`` is
-        ``cum - mass``.
+        Every pair takes ``width`` consecutive uniforms: one for the base,
+        one for the tie-break if the source is atomless, and one for the
+        response unless the law is the constant 0 or 1.  The base's uniform
+        is looked up in ``cum``, the cumulative masses.  For a discrete
+        marginal ``symbols`` is its own tuple of symbols and ``pieces`` is
+        None.  For an interval marginal ``symbols`` is None and ``pieces``
+        holds, per piece, ``(lo, start, mass, hi - lo)``, where ``start`` is
+        ``cum - mass``.  ``top`` is the index of the last entry with positive
+        mass: a uniform at or beyond the last cumulative mass (float sums of
+        the masses can fall short of 1) selects it.
         """
         marginal = self.marginal
-        if isinstance(marginal, DiscreteMarginal):
-            return marginal.symbols, np.cumsum(marginal.probs).tolist(), None
-        cum = np.cumsum([mass for _, _, mass in marginal.pieces]).tolist()
-        return None, cum, [(lo, c - mass, mass, hi - lo)
-                           for (lo, hi, mass), c in zip(marginal.pieces, cum)]
+        discrete = isinstance(marginal, DiscreteMarginal)
+        masses = marginal.probs if discrete else [mass for _, _, mass in marginal.pieces]
+        cum = np.cumsum(masses).tolist()
+        top = max(i for i, mass in enumerate(masses) if mass > 0)
+        width = 1 + self.atomless + (self.constant_response not in (0.0, 1.0))
+        pieces = None if discrete else [
+            (lo, c - mass, mass, hi - lo) for (lo, hi, mass), c in zip(marginal.pieces, cum)]
+        return (marginal.symbols if discrete else None), cum, pieces, width, top
 
     @cached_property
-    def response_table(self) -> Callable[[float], float]:
+    def prob_one(self) -> Callable[[float], float]:
         """P[response = 1 | base] as a function of the base, with the law's
         kind tested once."""
         law = self.response_one
         const = self.constant_response
         if const is not None:
-            def prob_one(base):
-                return const
-        elif isinstance(law, Mapping):
+            return lambda base: const
+        if isinstance(law, Mapping):
             get = law.get
-
-            def prob_one(base):
-                return float(get(base, 0.0))
-        else:
-            def prob_one(base):
-                return float(law(base))
-        return prob_one
-
-    @cached_property
-    def pair_table(self) -> tuple:
-        """``(width, top)``: the layout of a stream pair.
-
-        Every pair takes ``width`` consecutive uniforms: one for the base,
-        one for the tie-break if the source is atomless, and one for the
-        response unless the law is the constant 0 or 1.  ``top`` is the
-        index of the last entry of :attr:`sampling_table` with positive
-        mass: a uniform at or beyond the last cumulative mass (float sums of
-        the masses can fall short of 1) selects it.
-        """
-        masses = (self.marginal.probs if self.is_discrete
-                  else [mass for _, _, mass in self.marginal.pieces])
-        top = max(i for i, mass in enumerate(masses) if mass > 0)
-        width = 1 + self.atomless + (self.constant_response not in (0.0, 1.0))
-        return width, top
-
-    def prob_one(self, base: float) -> float:
-        """P[response = 1 | base]."""
-        return self.response_table(base)
+            return lambda base: float(get(base, 0.0))
+        return lambda base: float(law(base))
 
 
 def uniform_symbols(k: int, *, atomless: bool = False,
@@ -380,10 +361,11 @@ class StreamSource:
     :meth:`next` returned, and that once: a stream algorithm can select an
     element only immediately after observing it.
 
-    Every pair uses the same number of consecutive uniforms (see
-    :attr:`SourceDistribution.pair_table`); the response's uniform comes
-    last.  Uniforms are drawn in blocks that start at 64 and double up to
-    4096, so a short run draws few, and are kept as a Python list.
+    Every pair is decoded by one plan, the source's
+    :attr:`SourceDistribution.sampling_table`: the same number of
+    consecutive uniforms per pair, the response's uniform last.  Uniforms
+    are drawn in blocks that start at 64 and double up to 4096, so a short
+    run draws few, and are kept as a Python list.
     :meth:`next` decodes only the element it hands out, and :meth:`reveal`
     decodes the response from that pair's last uniform, so the response
     law runs only for revealed elements.  PCG64 doubles concatenate across
@@ -410,10 +392,10 @@ class StreamSource:
         self._block = _FIRST_BLOCK
         self._uniforms: list[float] = []
         self._pos = 0  # where the next pair's uniforms start
-        self._width, self._top = dist.pair_table
         self._atomless = dist.atomless
-        self._symbols, self._cum, self._pieces = dist.sampling_table
-        self._prob_one = dist.response_table
+        (self._symbols, self._cum, self._pieces,
+         self._width, self._top) = dist.sampling_table
+        self._prob_one = dist.prob_one
         self._last = None  # the element next() returned, until revealed
         self._revealed: list[LabeledPair] = []
 

@@ -261,6 +261,59 @@ class TestConfigAndErrors:
         cfg.write_text("just a line without equals\n")
         assert run_cli(["equiv-test", "--config", str(cfg)]) == 1
 
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("m=4\ntrails=500\n")
+        out = tmp_path / "o.csv"
+        assert run_cli(["iter-bench", "--config", str(cfg), "--trials", "20",
+                        "--out", str(out)]) == 1
+        assert f"{cfg}:2: unknown key 'trails'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# A value for every option but ``out``, each valid for the small run it is
+# given in; ``out`` gets the run's own CSV path.
+OPTION_VALUES = {
+    "seed": "7", "trials": "30", "m": "3", "q": "1",
+    "fixture": "greedy-max-discrete", "emulator": "gen", "max_iter": "5000",
+    "tv_threshold": "0.5", "n_max": "7", "m_grid": "8,16", "variant": "1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._OPTIONS))
+def test_config_file_value_equals_flag(key, tmp_path):
+    if key == "n_max":
+        base = ["secretary-table"]
+    elif key in ("m_grid", "variant"):
+        base = ["lowerbound-demo", "--fixture", "thm6-chain", "--q", "2",
+                "--m", "8", "--trials", "20"]
+    else:  # iter-bench at its default trials when those are under test
+        base = ["iter-bench"] + (["--trials", "20"] if key != "trials" else [])
+
+    def csv_of(via):
+        path = tmp_path / f"{via}.csv"
+        value = str(path) if key == "out" else OPTION_VALUES[key]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        extra = {"flag": ["--" + key.replace("_", "-"), value],
+                 "file": ["--config", str(cfg)]}.get(via, [])
+        if key != "out":
+            extra += ["--out", str(path)]
+        assert run_cli(base + extra) == 0
+        return path.read_bytes()
+
+    flag = csv_of("flag")
+    assert csv_of("file") == flag
+    if key != "out":  # the value takes effect
+        assert flag != csv_of("default")
+
+
+@pytest.mark.parametrize("name", [n for n in cli.FIXTURE_NAMES if n != "ex1-hypotheses"])
+def test_fixture_projection_matches_exact_law(name):
+    for variant in range(3 if name == "thm6-chain" else 1):
+        fixture = cli.build_fixture(name, 8, 2, variant)
+        assert fixture.canonicalizer.label == fixture.exact().projection
+
 
 class TestRunTrials:
     def test_capped_trials_are_listed_by_index(self):

@@ -310,7 +310,7 @@ def test_stream_source_blocks_concatenate():
     dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
     src = StreamSource(dist, ps.trial_rng(15, 2))
     uniforms = iter(ps.trial_rng(15, 2).random(6000).tolist())
-    symbols, cum, _ = dist.sampling_table
+    symbols, cum = dist.sampling_table[:2]
     expected = []
     for _ in range(2000):
         base = symbols[min(np.searchsorted(cum, next(uniforms), "right"), 2)]

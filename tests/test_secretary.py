@@ -86,7 +86,8 @@ def test_table_monotone_and_bounded_below():
             assert p <= prev + 1e-12
             assert p > 1.0 / math.e
         if n <= 128:
-            assert threshold == optimal_policy(n).threshold
+            exact = success_probability_exact(SecretaryPolicy(n, threshold))
+            assert abs(p - float(exact)) <= 1e-12
         prev = p
 
 
