@@ -57,17 +57,14 @@ from .emulators import (
 )
 from .secretary import cached_policy, policy_table, success_probability
 from .stats import (
-    Canonicalizer,
-    DiscreteProjection,
+    MeanEstimate,
     OutcomeDistribution,
-    RankPattern,
     TooLargeToEnumerate,
     empirical_distribution,
     exact_pool_distribution,
     mean_ci,
     tv_distance,
     two_region_exact_distribution,
-    two_region_rank_pattern,
 )
 
 _MAX_TABLE_N = 10**5
@@ -80,14 +77,13 @@ def base_utility(element: Element, history) -> float:
 
 @dataclass
 class Fixture:
-    """A pool algorithm, its source law, and the matching exact machinery."""
+    """A pool algorithm, its source law, and its exact law (which carries its projection)."""
 
     name: str
     m: int
     q: int
     dist: SourceDistribution
     pool_alg: PoolAlgorithm
-    canonicalizer: Canonicalizer
     exact: Callable[[], OutcomeDistribution]
     utility: Callable | None = None
 
@@ -102,7 +98,6 @@ EMULATOR_NAMES = ("wait", "nowait", "gen", "utility-stream", "first-q")
 def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
     if name == "thm3-good-pool":
         return Fixture(name, m, q, two_region_marginal(m), CodedPoolAlgorithm(m, q),
-                       two_region_rank_pattern(),
                        lambda: two_region_exact_distribution(m, q))
     if name == "ex1-hypotheses":
         # Bit-identification learner over its hypothesis class; ``variant``
@@ -119,9 +114,8 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
                 "missing the learner's query path abort; use iter-bench")
 
         return Fixture(name, m, q, hc.source(variant), BitIdentificationPool(hc, m),
-                       DiscreteProjection(), no_exact)
-    # The rest run the greedy utility maximiser, whose exact law
-    # exact_pool_distribution enumerates under the same projection rule.
+                       no_exact)
+    # The rest run the greedy utility maximiser; exact_pool_distribution enumerates its law.
     utility, tie_break = base_utility, "error"
     if name == "greedy-max":
         dist = uniform_interval(0.0, 1.0)
@@ -139,7 +133,6 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     alg = GreedyUtilityPool(utility, m, q, tie_break)
     return Fixture(name, m, q, dist, alg,
-                   DiscreteProjection() if dist.is_discrete else RankPattern(),
                    lambda: exact_pool_distribution(alg, dist, m, q), utility=utility)
 
 
@@ -207,7 +200,7 @@ def cmd_equiv_test(cfg: dict) -> int:
     exact = fixture.exact()
     records, failures = run_trials(
         emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"], cfg["max_iter"])
-    empirical = empirical_distribution(records, fixture.canonicalizer)
+    empirical = empirical_distribution(records, exact.projection)
     tv = tv_distance(exact, empirical)
     # Failed trials may be exactly the long runs the empirical side misses,
     # so their share counts against the threshold too.
@@ -225,17 +218,34 @@ def cmd_equiv_test(cfg: dict) -> int:
     return 2 if status == "FAIL" else 0
 
 
-def _gen_iter_bound(m: int, q: int) -> float:
-    if q <= 1:
-        return float(m * m)
-    return m * m * (math.e * m / (q - 1)) ** (q - 1)
+def _costs(emulator: str, m: int, q: int) -> tuple:
+    """``(n_iter reference, n_sel reference, n_iter bound, per-round attempt
+    references)`` of an emulator at pool size m and budget q; None is blank."""
+    if emulator == "gen":
+        bound = float(m * m) if q <= 1 else m * m * (math.e * m / (q - 1)) ** (q - 1)
+        return (bound if q == 1 else None), None, bound, None
+    if emulator == "nowait":
+        return float(m), float(m), None, None
+    if emulator == "utility-stream":
+        def p_sp(horizon):
+            return success_probability(cached_policy(horizon))
+
+        bound = None if q >= m else (1.0 / p_sp(m)) * math.exp(q / (m - q)) * q * m
+        return None, q / p_sp(m), bound, [1.0 / p_sp(m - i) for i in range(q)]
+    return None, None, None, None
 
 
-def _utility_iter_bound(m: int, q: int) -> float | None:
-    if q >= m:
-        return None
-    p = success_probability(cached_policy(m))
-    return (1.0 / p) * math.exp(q / (m - q)) * q * m
+def _status(est: MeanEstimate, bound: float | None, lower: bool = False) -> str:
+    """OK or VIOLATION against an upper bound (a lower one if ``lower``);
+    blank without a bound.
+
+    Flag only when the CI clears the bound: for the q=1 rejection case the
+    "bound" is the exact expectation, so the raw mean exceeds it half the
+    time by noise alone.
+    """
+    if bound is None:
+        return ""
+    return "OK" if (est.upper >= bound if lower else est.lower <= bound) else "VIOLATION"
 
 
 def cmd_iter_bench(cfg: dict) -> int:
@@ -246,50 +256,20 @@ def cmd_iter_bench(cfg: dict) -> int:
     if len(records) < 2:
         print("error: fewer than two uncapped trials", file=sys.stderr)
         return 1
-    m, q = cfg["m"], cfg["q"]
-    name = cfg["emulator"]
+    iter_ref, sel_ref, iter_bound, round_refs = _costs(cfg["emulator"], cfg["m"], cfg["q"])
+    series = [("n_iter", [float(r.n_iter) for r in records], iter_ref, iter_bound),
+              ("n_sel", [float(r.n_sel) for r in records], sel_ref, None)]
+    series += [(f"round_attempts_{i + 1}", [float(r.round_attempts[i]) for r in records],
+                ref, None) for i, ref in enumerate(round_refs or ())]
     rows = []
-    violations = 0
-
-    def add_row(metric, samples, reference=None, bound=None):
-        nonlocal violations
+    for metric, samples, reference, bound in series:
         est = mean_ci(samples)
-        status = ""
-        if bound is not None:
-            # Flag only when the CI clears the bound: for the q=1 rejection
-            # case the "bound" is the exact expectation, so the raw mean
-            # exceeds it half the time by noise alone.
-            status = "OK" if est.lower <= bound else "VIOLATION"
-            if status == "VIOLATION":
-                violations += 1
         rows.append([metric, est.mean, est.half_width, est.trials, len(failures),
-                     reference, bound, status])
-
-    iter_bound = None
-    iter_ref = None
-    sel_ref = None
-    if name == "gen":
-        iter_bound = _gen_iter_bound(m, q)
-        if q == 1:
-            iter_ref = float(m * m)
-    elif name == "utility-stream":
-        iter_bound = _utility_iter_bound(m, q)
-        sel_ref = q / success_probability(cached_policy(m))
-    elif name == "nowait":
-        iter_ref = float(m)
-        sel_ref = float(m)
-    add_row("n_iter", [float(r.n_iter) for r in records], iter_ref, iter_bound)
-    add_row("n_sel", [float(r.n_sel) for r in records], sel_ref)
-    if name == "utility-stream":
-        for i in range(1, q + 1):
-            horizon = m - i + 1
-            expected = 1.0 / success_probability(cached_policy(horizon))
-            add_row(f"round_attempts_{i}",
-                    [float(r.round_attempts[i - 1]) for r in records], expected)
+                     reference, bound, _status(est, bound)])
     _emit(cfg["out"], _meta(cfg), ["metric", "mean", "ci_half", "trials",
                                    "failed_trials", "reference", "bound",
                                    "status"], rows)
-    return 2 if violations else 0
+    return 2 if any(row[-1] == "VIOLATION" for row in rows) else 0
 
 
 def cmd_secretary_table(cfg: dict) -> int:
@@ -311,7 +291,6 @@ def cmd_lowerbound_demo(cfg: dict) -> int:
     grid = cfg["m_grid"] or [cfg["m"]]
     q = cfg["q"]
     rows = []
-    violations = 0
     for m in grid:
         fixture = build_fixture(name, m, q, cfg["variant"])
         emulator_name = "gen" if name == "thm3-good-pool" else "utility-stream"
@@ -322,21 +301,14 @@ def cmd_lowerbound_demo(cfg: dict) -> int:
             print(f"error: fewer than two uncapped trials at m={m}", file=sys.stderr)
             return 1
         est = mean_ci([float(r.n_iter) for r in records])
-        if name == "thm6-chain":
-            n = chain_fixture(m, q).n
-            bound = q * n / 8.0
-            # As in iter-bench, flag only when the CI clears the bound.
-            status = "OK" if est.upper >= bound else "VIOLATION"
-            if status == "VIOLATION":
-                violations += 1
-        else:
-            n, bound, status = None, None, ""
+        n = chain_fixture(m, q).n if name == "thm6-chain" else None
+        bound = None if n is None else q * n / 8.0
         rows.append([m, n, est.mean, est.half_width, est.trials, len(failures),
-                     bound, status])
+                     bound, _status(est, bound, lower=True)])
     _emit(cfg["out"], _meta(cfg), ["m", "alphabet_n", "mean_n_iter", "ci_half",
                                    "trials", "failed_trials", "lower_bound",
                                    "status"], rows)
-    return 2 if violations else 0
+    return 2 if any(row[-1] == "VIOLATION" for row in rows) else 0
 
 
 _COMMANDS = {
@@ -378,7 +350,8 @@ def parse_config_file(path: str) -> dict:
     """Flat key=value lines; '#' starts a comment, blank lines ignored.
 
     Keys are option names (``max-iter`` or ``max_iter``), converted like
-    their flags; an unknown key is an error.
+    their flags; an unknown key or a value its type rejects is an error
+    naming the file, the line and the key.
     """
     out = {}
     with open(path) as fh:
@@ -392,7 +365,11 @@ def parse_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _OPTIONS[key][0](value.strip())
+            try:
+                out[key] = _OPTIONS[key][0](value.strip())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value {value.strip()!r} "
+                                 f"for key {key!r}") from None
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
@@ -155,6 +155,10 @@ class SourceDistribution:
             p = float(self.response_one)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"constant response probability {p} outside [0, 1]")
+
+    def __getstate__(self) -> dict:
+        # Fields only: the cached decode plans hold closures and are rebuilt on use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def is_discrete(self) -> bool:

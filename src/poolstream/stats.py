@@ -61,8 +61,6 @@ def _pairs_of(run: PairsLike) -> Sequence[LabeledPair]:
 class DiscreteProjection:
     """Canonical outcome: sorted (base, response) multiset, tiebreaks dropped."""
 
-    label: str = "discrete"
-
     def __call__(self, run: PairsLike) -> Outcome:
         pairs = _pairs_of(run)
         return tuple(sorted((p.element.base, p.response) for p in pairs))
@@ -74,7 +72,6 @@ class RankPattern:
     per selection, in selection order.  Ranks count from 1 upward by value."""
 
     bucket: Callable[[float], int] | None = None
-    label: str = "rank"
 
     def __call__(self, run: PairsLike) -> Outcome:
         pairs = _pairs_of(run)
@@ -94,10 +91,12 @@ Canonicalizer = Union[DiscreteProjection, RankPattern]
 
 @dataclass
 class OutcomeDistribution:
-    """Probability mass over canonical outcomes, exact or empirical."""
+    """Probability mass over canonical outcomes, exact or empirical, and the
+    canonicalizer that projected them: the exact law picks it, an empirical
+    batch reuses it, and :func:`tv_distance` compares only equal ones."""
 
     support: dict[Outcome, float]
-    projection: str
+    projection: Canonicalizer
     trials: int | None = None
 
     def mass(self, outcome: Outcome) -> float:
@@ -151,7 +150,7 @@ def empirical_distribution(runs: Sequence[PairsLike],
     n = len(runs)
     counts = Counter(canonicalizer(run) for run in runs)
     return OutcomeDistribution({k: v / n for k, v in counts.items()},
-                               canonicalizer.label, n)
+                               canonicalizer, n)
 
 
 def _exact_law(alg: PoolAlgorithm, pools: Iterable[tuple[list[Element], float]],
@@ -183,7 +182,7 @@ def _exact_law(alg: PoolAlgorithm, pools: Iterable[tuple[list[Element], float]],
 
     for elements, weight in pools:
         recurse(elements, weight)
-    return OutcomeDistribution(dict(masses), canonicalizer.label)
+    return OutcomeDistribution(dict(masses), canonicalizer)
 
 
 def _multiset_pools(marginal: DiscreteMarginal,
@@ -239,7 +238,7 @@ def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
 
 def two_region_rank_pattern() -> RankPattern:
     """Canonicalizer matching :func:`two_region_exact_distribution`."""
-    return RankPattern(bucket=region_of, label="rank/two-region")
+    return RankPattern(bucket=region_of)
 
 
 def two_region_exact_distribution(m: int, q: int,
@@ -285,4 +284,4 @@ def first_q_exact_distribution(q: int) -> OutcomeDistribution:
     order_mass = 1.0 / math.factorial(q)
     return OutcomeDistribution(
         {tuple((0, rank, 0) for rank in perm): order_mass
-         for perm in itertools.permutations(range(1, q + 1))}, "rank")
+         for perm in itertools.permutations(range(1, q + 1))}, RankPattern())

@@ -1,6 +1,11 @@
 """CLI surface: subcommands, CSV schema, determinism, exit codes."""
 
 import hashlib
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +160,24 @@ class TestIterBench:
         att1 = [r for r in rows if r["metric"] == "round_attempts_1"][0]
         assert abs(float(att1["reference"]) - 24 / 11) < 1e-9
 
+    @pytest.mark.parametrize("n_iters,status,code", [
+        ((5, 9, 13), "OK", 0),               # mean 9: the CI holds the bound
+        ((20, 20, 20), "VIOLATION", 2),      # the whole CI lies above the bound
+    ], ids=["ci-holds-bound", "ci-above-bound"])
+    def test_violation_needs_the_ci_above_the_bound(self, tmp_path, monkeypatch,
+                                                     n_iters, status, code):
+        # gen at m=3, q=1 has the exact expectation m^2 = 9 as its bound.
+        records = [ps.RunRecord((), n_sel=1, n_iter=k) for k in n_iters]
+        monkeypatch.setattr(cli, "run_trials", lambda *args: (records, []))
+        out = tmp_path / "bench.csv"
+        assert run_cli(["iter-bench", "--fixture", "greedy-max-discrete", "--emulator",
+                        "gen", "--m", "3", "--q", "1", "--trials", "3",
+                        "--out", str(out)]) == code
+        _, _, rows = read_rows(out)
+        assert float(rows[0]["bound"]) == 9.0
+        assert rows[0]["status"] == status
+        assert rows[1]["status"] == ""  # n_sel has no bound
+
 
 class TestLowerboundDemo:
     def test_chain_demo_exceeds_bound(self, tmp_path):
@@ -270,6 +293,14 @@ class TestConfigAndErrors:
         assert f"{cfg}:2: unknown key 'trails'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["m=abc", "tv_threshold=x", "m_grid=4,x"])
+    def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"seed=3\n{line}\n")
+        key, value = line.split("=")
+        assert run_cli(["iter-bench", "--config", str(cfg), "--trials", "20"]) == 1
+        assert f"{cfg}:2: bad value {value!r} for key {key!r}" in capsys.readouterr().err
+
 
 # A value for every option but ``out``, each valid for the small run it is
 # given in; ``out`` gets the run's own CSV path.
@@ -308,13 +339,6 @@ def test_config_file_value_equals_flag(key, tmp_path):
         assert flag != csv_of("default")
 
 
-@pytest.mark.parametrize("name", [n for n in cli.FIXTURE_NAMES if n != "ex1-hypotheses"])
-def test_fixture_projection_matches_exact_law(name):
-    for variant in range(3 if name == "thm6-chain" else 1):
-        fixture = cli.build_fixture(name, 8, 2, variant)
-        assert fixture.canonicalizer.label == fixture.exact().projection
-
-
 class TestRunTrials:
     def test_capped_trials_are_listed_by_index(self):
         # Three rounds of m=5 need at least 5 + 4 + 3 draws, above the cap.
@@ -324,6 +348,16 @@ class TestRunTrials:
         assert records == []
         assert [t for t, _ in failures] == [0, 1, 2, 3]
         assert all(isinstance(exc, ps.IterationCapExceeded) for _, exc in failures)
+
+
+def test_used_source_pickles_and_replays_its_stream():
+    # Decoding caches closures on the source; pickling drops and rebuilds them.
+    fixture = cli.build_fixture("greedy-max-discrete", 4, 2)
+    emulator = cli.build_emulator("gen", fixture)
+    record = ps.run_stream(emulator, fixture.dist, 2, ps.trial_rng(5, 0))
+    copy = pickle.loads(pickle.dumps(fixture.dist))
+    assert copy == fixture.dist
+    assert ps.run_stream(emulator, copy, 2, ps.trial_rng(5, 0)) == record
 
 
 class TestHypothesisFixture:
@@ -380,6 +414,11 @@ GOLDEN_CSV = {
                     "utility-stream", "--m", "10", "--q", "5", "--trials", "300",
                     "--seed", "1"],
                    "1b0f88281e9a3c7eb41249e1d2d1ae903c1ee398aecef8dd887af6838a789259"),
+    # q = m: the secretary emulator's n_iter bound is blank.
+    "iter-bench-full-budget": (["iter-bench", "--fixture", "greedy-max", "--emulator",
+                                "utility-stream", "--m", "3", "--q", "3", "--trials",
+                                "300", "--seed", "1"],
+                               "558a4d91189a679708d4a11728ec188bd8bfb09c66a576903bd1480913d666ca"),
     "secretary-table": (["secretary-table", "--n-max", "1000"],
                         "287579a112b2132023bdba051e84d46eba8f1cc4635f10e0c434175242c41981"),
     "lowerbound-demo": (["lowerbound-demo", "--fixture", "thm6-chain", "--q", "2",
@@ -394,3 +433,28 @@ def test_golden_csv_digest(name, tmp_path):
     out = tmp_path / "out.csv"
     assert run_cli(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 over the 21 reports of scripts/run_all_experiments.py at 200 trials,
+# seed 11, taken in name order as name + NUL + bytes.  It pins the cells no
+# GOLDEN_CSV covers: the gen, nowait and ex1 wait iter-bench rows and the
+# thm3 lowerbound-demo rows.
+GRID_DIGEST = "7a38be521044338c26020b5e5db004a92a2fdc924537472f5ba52e020c52cf05"
+
+
+def test_experiment_grid_digest(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_all_experiments.py"), "--trials",
+         "200", "--seed", "11", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    reports = sorted(tmp_path.iterdir(), key=lambda p: p.name)
+    assert len(reports) == 21
+    digest = hashlib.sha256()
+    for path in reports:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == GRID_DIGEST

@@ -63,7 +63,7 @@ def reference_exact(alg, dist, m, q):
             elements = [ps.Element(marginal.symbols[i], (pos + 1.0) / (m + 1.0))
                         for pos, i in enumerate(combo)]
             reference_branch_runs(alg, elements, q, dist.prob_one, sink, weight)
-        return OutcomeDistribution(dict(masses), canonicalizer.label)
+        return OutcomeDistribution(dict(masses), canonicalizer)
 
     lo, hi, _ = marginal.pieces[0]
     reps = [lo + (r + 1.0) / (m + 1.0) * (hi - lo) for r in range(m)]
@@ -77,7 +77,7 @@ def reference_exact(alg, dist, m, q):
     for order in itertools.permutations(range(m)):
         elements = [ps.Element(reps[r], 0.0) for r in order]
         reference_branch_runs(alg, elements, q, lambda _b: p_one, sink, base_weight)
-    return OutcomeDistribution(dict(masses), canonicalizer.label)
+    return OutcomeDistribution(dict(masses), canonicalizer)
 
 
 def reference_two_region(m, q, response_one=0.0):
@@ -106,7 +106,7 @@ def reference_two_region(m, q, response_one=0.0):
                      for r in range(n_high)]
             reference_branch_runs(alg, lows + highs, q,
                                   lambda _b: response_one, sink, weight)
-    return OutcomeDistribution(dict(masses), canonicalizer.label)
+    return OutcomeDistribution(dict(masses), canonicalizer)
 
 
 def reference_law(fixture):

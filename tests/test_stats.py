@@ -78,6 +78,12 @@ class TestTvDistance:
         b = self.dist({("x",): 1.0}, projection="rank")
         with pytest.raises(ValueError):
             ps.tv_distance(a, b)
+        # Laws carry their canonicalizer; equal ones compare, others do not.
+        rank = self.dist({("x",): 1.0}, projection=ps.RankPattern())
+        assert ps.tv_distance(rank, self.dist({("x",): 1.0}, ps.RankPattern())) == 0.0
+        for other in (ps.two_region_rank_pattern(), ps.DiscreteProjection()):
+            with pytest.raises(ValueError):
+                ps.tv_distance(rank, self.dist({("x",): 1.0}, projection=other))
 
     @given(st.lists(st.tuples(st.floats(0.001, 1), st.floats(0.001, 1),
                               st.floats(0.001, 1)),
