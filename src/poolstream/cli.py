@@ -23,8 +23,8 @@ import csv
 import io
 import math
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import (
     DEFAULT_MAX_ITER,
@@ -103,7 +103,7 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
         # Bit-identification learner over its hypothesis class; ``variant``
         # is the target hypothesis index.  For iter-bench with the wait or
         # nowait emulators (the source has atoms).
-        T = max(1, math.ceil(math.log2(q)) if q > 1 else 1)
+        T = max(1, (q - 1).bit_length())  # ceil(log2 q), in integers
         hc = hypothesis_class(q, T, q * (1 << T))
         if not 0 <= variant < (1 << q):
             raise ValueError(f"variant must be in [0, {(1 << q) - 1}] for ex1-hypotheses")
@@ -159,7 +159,7 @@ def _fmt(value) -> str:
 
 
 def _emit(out_path: str | None, meta: dict, header: list[str],
-          rows: list[list]) -> None:
+          rows: Iterable[Sequence]) -> None:
     buf = io.StringIO()
     for key in sorted(meta):
         buf.write(f"# {key}={_fmt(meta[key])}\n")
@@ -277,8 +277,7 @@ def cmd_secretary_table(cfg: dict) -> int:
     if not 1 <= n_max <= _MAX_TABLE_N:
         print(f"error: n_max must be in [1, {_MAX_TABLE_N}]", file=sys.stderr)
         return 1
-    rows = [[n, threshold, p] for n, threshold, p in policy_table(n_max)]
-    _emit(cfg["out"], _meta(cfg), ["n", "threshold", "p_sp"], rows)
+    _emit(cfg["out"], _meta(cfg), ["n", "threshold", "p_sp"], policy_table(n_max))
     return 0
 
 

@@ -302,9 +302,8 @@ class HypothesisClass:
         """Uniform marginal over the domain, responses labeled by hypothesis ``target``."""
         symbols = tuple(float(s) for s in range(self.n))
         probs = (1.0 / self.n,) * self.n
-        return SourceDistribution(DiscreteMarginal(symbols, probs),
-                                  lambda base: float(self.evaluate(target, base)),
-                                  atomless=False)
+        labels = {base: 1.0 for base in symbols if self.evaluate(target, base)}
+        return SourceDistribution(DiscreteMarginal(symbols, probs), labels, atomless=False)
 
     def complete_pool(self, target: int) -> list[LabeledPair]:
         """One sealed pair per domain element, labeled by hypothesis ``target``."""

@@ -110,9 +110,10 @@ class DiscreteMarginal:
     def __post_init__(self):
         if len(self.symbols) != len(self.probs) or not self.symbols:
             raise ValueError("symbols and probs must be equal-length and non-empty")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("negative probability")
-        if abs(sum(self.probs) - 1.0) > _PROB_TOL:
+        # Written so that NaN fails them: every comparison with NaN is False.
+        if not all(p >= 0 for p in self.probs):
+            raise ValueError("negative or NaN probability")
+        if not abs(sum(self.probs) - 1.0) <= _PROB_TOL:
             raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("duplicate symbols")
@@ -130,9 +131,9 @@ class IntervalMarginal:
         for lo, hi, mass in self.pieces:
             if not lo < hi:
                 raise ValueError(f"empty piece [{lo}, {hi}]")
-            if mass < 0:
-                raise ValueError("negative mass")
-        if abs(sum(p[2] for p in self.pieces) - 1.0) > _PROB_TOL:
+            if not mass >= 0:
+                raise ValueError("negative or NaN mass")
+        if not abs(sum(p[2] for p in self.pieces) - 1.0) <= _PROB_TOL:
             raise ValueError("piece masses must sum to 1")
 
 
@@ -141,9 +142,9 @@ class SourceDistribution:
     """Joint law of (element, response) pairs drawn i.i.d. by a source.
 
     ``response_one`` gives P[response = 1 | base] as a constant, a mapping from
-    base symbol (missing keys mean 0), or a callable.  ``atomless`` controls
-    the tie-break augmentation: when set, no single element value has positive
-    probability.
+    base symbol (missing keys mean 0), or a callable; all but a callable are
+    checked up front to lie in [0, 1].  ``atomless`` controls the tie-break
+    augmentation: when set, no single element value has positive probability.
     """
 
     marginal: DiscreteMarginal | IntervalMarginal
@@ -151,10 +152,11 @@ class SourceDistribution:
     atomless: bool = False
 
     def __post_init__(self):
-        if isinstance(self.response_one, (int, float)):
-            p = float(self.response_one)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"constant response probability {p} outside [0, 1]")
+        law = self.response_one
+        if isinstance(law, (int, float, Mapping)):
+            for p in law.values() if isinstance(law, Mapping) else (law,):
+                if not 0.0 <= float(p) <= 1.0:
+                    raise ValueError(f"response probability {p} outside [0, 1]")
 
     def __getstate__(self) -> dict:
         # Fields only: the cached decode plans hold closures and are rebuilt on use.

@@ -9,8 +9,9 @@ so far.  Its success probability is
     phi(r) = (r-1)/n * sum_{j=r}^{n} 1/(j-1)   for r >= 2,
 
 maximized at the unique unimodal optimum (ties broken toward smaller r).
-One float bisection over harmonic sums finds it for every n; up to
-n = 10^5 it is exact, as no sum it compares with 1 is within rounding of 1.
+One upward float search over harmonic sums finds it, in one pass for a
+whole table as the optimum never decreases in n; up to n = 10^5 it is
+exact, as no sum it compares with 1 is within rounding of 1.
 Both the threshold and the probability converge to 1/e as n grows.
 """
 
@@ -20,8 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from itertools import accumulate
 
 
 class InvalidHorizon(ValueError):
@@ -47,8 +47,8 @@ def optimal_policy(n: int) -> SecretaryPolicy:
     return SecretaryPolicy(n, _threshold(_harmonic_prefix(n), n))
 
 
-def _threshold(harmonic: np.ndarray, n: int) -> int:
-    """The optimal threshold for horizon ``n`` by bisection in floats.
+def _threshold(harmonic: Sequence[float], n: int, r: int = 1) -> int:
+    """The optimal threshold for horizon ``n``, searched upward from ``r``.
 
     phi is unimodal with increments of sign(T(r+1) - 1) where
     T(r) = H_{n-1} - H_{r-2}; the optimum is the smallest r with T(r+1) <= 1,
@@ -57,18 +57,16 @@ def _threshold(harmonic: np.ndarray, n: int) -> int:
     integer only as 1/1 (n = 2, where ``<=`` keeps the smaller tie r = 1),
     and for n <= 10^5 the deciding sums stay 5e-11 or more from 1 (closest
     at n = 73757, r = 27134), against rounding below 2e-13.
+    Any start at or below the optimum of ``n`` is valid, such as the optimum
+    of ``n - 1``: the tail sum grows with n, so r(n) <= r(n+1), and rounded
+    subtraction is monotone in each argument, so the float test is too.
     """
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if harmonic[n - 1] - harmonic[mid - 1] <= 1.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    while harmonic[n - 1] - harmonic[r - 1] > 1.0:
+        r += 1
+    return r
 
 
-def _phi(harmonic: np.ndarray, n: int, r: int) -> float:
+def _phi(harmonic: Sequence[float], n: int, r: int) -> float:
     """phi(r) for horizon ``n`` as a float; ``harmonic`` reaches at least H_n."""
     if r == 1:
         return 1.0 / n
@@ -96,21 +94,19 @@ def _validate_policy(policy: SecretaryPolicy) -> None:
         raise InvalidHorizon(f"invalid policy {policy}")
 
 
-def _harmonic_prefix(n: int) -> np.ndarray:
+def _harmonic_prefix(n: int) -> list[float]:
     """harmonic[k] = H_k = sum_{j=1}^{k} 1/j, for k = 0..n."""
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(1.0 / np.arange(1, n + 1), out=out[1:])
-    return out
+    return list(accumulate((1.0 / j for j in range(1, n + 1)), initial=0.0))
 
 
 def policy_table(n_max: int):
-    """Yield (n, threshold, success probability) for n = 1..n_max in O(n_max log n_max)."""
+    """Yield (n, threshold, success probability) for n = 1..n_max in one pass."""
     if n_max < 1:
         raise InvalidHorizon(f"n_max must be positive, got {n_max}")
     harmonic = _harmonic_prefix(n_max)
+    r = 1
     for n in range(1, n_max + 1):
-        r = _threshold(harmonic, n)
+        r = _threshold(harmonic, n, r)
         yield n, r, _phi(harmonic, n, r)
 
 

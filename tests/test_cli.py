@@ -352,12 +352,13 @@ class TestRunTrials:
 
 def test_used_source_pickles_and_replays_its_stream():
     # Decoding caches closures on the source; pickling drops and rebuilds them.
-    fixture = cli.build_fixture("greedy-max-discrete", 4, 2)
-    emulator = cli.build_emulator("gen", fixture)
-    record = ps.run_stream(emulator, fixture.dist, 2, ps.trial_rng(5, 0))
-    copy = pickle.loads(pickle.dumps(fixture.dist))
-    assert copy == fixture.dist
-    assert ps.run_stream(emulator, copy, 2, ps.trial_rng(5, 0)) == record
+    for name, emulator_name in (("greedy-max-discrete", "gen"), ("ex1-hypotheses", "wait")):
+        fixture = cli.build_fixture(name, 4, 2)
+        emulator = cli.build_emulator(emulator_name, fixture)
+        record = ps.run_stream(emulator, fixture.dist, 2, ps.trial_rng(5, 0))
+        copy = pickle.loads(pickle.dumps(fixture.dist))
+        assert copy == fixture.dist
+        assert ps.run_stream(emulator, copy, 2, ps.trial_rng(5, 0)) == record
 
 
 class TestHypothesisFixture:
@@ -421,6 +422,10 @@ GOLDEN_CSV = {
                                "558a4d91189a679708d4a11728ec188bd8bfb09c66a576903bd1480913d666ca"),
     "secretary-table": (["secretary-table", "--n-max", "1000"],
                         "287579a112b2132023bdba051e84d46eba8f1cc4635f10e0c434175242c41981"),
+    # The whole table range, including the row closest to the float test's
+    # exactness margin (n = 73757).
+    "secretary-table-full": (["secretary-table", "--n-max", "100000"],
+                             "854ae424a3e92edf521f29749a780cbd821528ba2233d0c46f0ab90a45352a4b"),
     "lowerbound-demo": (["lowerbound-demo", "--fixture", "thm6-chain", "--q", "2",
                          "--m-grid", "8,16,24", "--trials", "200", "--seed", "1"],
                         "391440ee21140e842f5d981f345ef49b61ed5766189c6aae422452cb2434e627"),
