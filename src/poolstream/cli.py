@@ -19,11 +19,12 @@ output.  Exit status: 0 on pass/completion, 2 if any row FAILs or VIOLATEs,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import math
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import (
@@ -32,6 +33,7 @@ from .core import (
     EmulationError,
     IterationCapExceeded,
     PoolAlgorithm,
+    RunRecord,
     SourceDistribution,
     StreamEmulator,
     run_stream,
@@ -97,6 +99,11 @@ EMULATOR_NAMES = ("wait", "nowait", "gen", "utility-stream", "first-q")
 
 def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
     if name == "thm3-good-pool":
+        # Elsewhere some pools hold fewer than q elements in either region,
+        # and the coded algorithm has nothing feasible to select.
+        if not (q <= (m + 1) // 2 or m == q == 2):
+            raise ValueError(f"thm3-good-pool needs q <= ceil(m/2) or m = q = 2, "
+                             f"got m={m}, q={q}")
         return Fixture(name, m, q, two_region_marginal(m), CodedPoolAlgorithm(m, q),
                        lambda: two_region_exact_distribution(m, q))
     if name == "ex1-hypotheses":
@@ -160,47 +167,47 @@ def _fmt(value) -> str:
 
 def _emit(out_path: str | None, meta: dict, header: list[str],
           rows: Iterable[Sequence]) -> None:
-    buf = io.StringIO()
-    for key in sorted(meta):
-        buf.write(f"# {key}={_fmt(meta[key])}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the metadata lines, the header and each row as it comes,
+    straight to ``out_path`` or to stdout; the report is never held whole."""
+    with (open(out_path, "w", newline="") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for key in sorted(meta):
+            fh.write(f"# {key}={_fmt(meta[key])}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def run_trials(emulator: StreamEmulator, dist: SourceDistribution, q: int,
-               seed: int, trials: int, max_iter: int = DEFAULT_MAX_ITER) -> tuple:
-    """Run trials ``0..trials-1`` on their seeded streams; return (records, failures).
+               seed: int, trials: int, failures: list,
+               max_iter: int = DEFAULT_MAX_ITER) -> Iterator[RunRecord]:
+    """Yield the records of trials ``0..trials-1``, each run on its seeded
+    stream as it is asked for, in trial order.
 
-    ``failures`` lists ``(trial, error)`` for iteration-capped trials and for
-    learner runs on pools missing their query path; they are reported, never
-    silently dropped.
+    Iteration-capped trials and learner runs on pools missing their query
+    path yield nothing: ``(trial, error)`` goes to ``failures`` instead, so
+    they are reported, never silently dropped.  Read ``failures`` once the
+    records are exhausted.
     """
-    records = []
-    failures = []
     for t in range(trials):
         try:
-            records.append(run_stream(emulator, dist, q, trial_rng(seed, t), max_iter))
+            record = run_stream(emulator, dist, q, trial_rng(seed, t), max_iter)
         except (IterationCapExceeded, IncompletePool) as exc:
             # Without its traceback the error no longer pins the run's frames.
             failures.append((t, exc.with_traceback(None)))
-    return records, failures
+        else:
+            yield record
 
 
 def cmd_equiv_test(cfg: dict) -> int:
     fixture = build_fixture(cfg["fixture"], cfg["m"], cfg["q"], cfg["variant"])
     emulator = build_emulator(cfg["emulator"], fixture)
     exact = fixture.exact()
-    records, failures = run_trials(
-        emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"], cfg["max_iter"])
-    empirical = empirical_distribution(records, exact.projection)
+    failures = []
+    empirical = empirical_distribution(
+        run_trials(emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"],
+                   failures, cfg["max_iter"]),
+        exact.projection)
     tv = tv_distance(exact, empirical)
     # Failed trials may be exactly the long runs the empirical side misses,
     # so their share counts against the threshold too.
@@ -251,19 +258,22 @@ def _status(est: MeanEstimate, bound: float | None, lower: bool = False) -> str:
 def cmd_iter_bench(cfg: dict) -> int:
     fixture = build_fixture(cfg["fixture"], cfg["m"], cfg["q"], cfg["variant"])
     emulator = build_emulator(cfg["emulator"], fixture)
-    records, failures = run_trials(
-        emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"], cfg["max_iter"])
-    if len(records) < 2:
+    iter_ref, sel_ref, iter_bound, round_refs = _costs(cfg["emulator"], cfg["m"], cfg["q"])
+    series = [("n_iter", iter_ref, iter_bound), ("n_sel", sel_ref, None)]
+    series += [(f"round_attempts_{i + 1}", ref, None) for i, ref in enumerate(round_refs or ())]
+    # Per trial, only the integers reported: n_iter, n_sel and each round's attempts.
+    samples = [array("q") for _ in series]
+    failures = []
+    for r in run_trials(emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"],
+                        failures, cfg["max_iter"]):
+        for column, value in zip(samples, (r.n_iter, r.n_sel, *(r.round_attempts or ()))):
+            column.append(value)
+    if len(samples[0]) < 2:
         print("error: fewer than two uncapped trials", file=sys.stderr)
         return 1
-    iter_ref, sel_ref, iter_bound, round_refs = _costs(cfg["emulator"], cfg["m"], cfg["q"])
-    series = [("n_iter", [float(r.n_iter) for r in records], iter_ref, iter_bound),
-              ("n_sel", [float(r.n_sel) for r in records], sel_ref, None)]
-    series += [(f"round_attempts_{i + 1}", [float(r.round_attempts[i]) for r in records],
-                ref, None) for i, ref in enumerate(round_refs or ())]
     rows = []
-    for metric, samples, reference, bound in series:
-        est = mean_ci(samples)
+    for (metric, reference, bound), column in zip(series, samples):
+        est = mean_ci(column)
         rows.append([metric, est.mean, est.half_width, est.trials, len(failures),
                      reference, bound, _status(est, bound)])
     _emit(cfg["out"], _meta(cfg), ["metric", "mean", "ci_half", "trials",
@@ -289,18 +299,20 @@ def cmd_lowerbound_demo(cfg: dict) -> int:
         return 1
     grid = cfg["m_grid"] or [cfg["m"]]
     q = cfg["q"]
+    emulator_name = "gen" if name == "thm3-good-pool" else "utility-stream"
+    # Every grid fixture is built before the first trial, so a bad m fails fast.
+    fixtures = [build_fixture(name, m, q, cfg["variant"]) for m in grid]
     rows = []
-    for m in grid:
-        fixture = build_fixture(name, m, q, cfg["variant"])
-        emulator_name = "gen" if name == "thm3-good-pool" else "utility-stream"
-        emulator = build_emulator(emulator_name, fixture)
-        records, failures = run_trials(
-            emulator, fixture.dist, q, cfg["seed"], cfg["trials"], cfg["max_iter"])
-        if len(records) < 2:
+    for m, fixture in zip(grid, fixtures):
+        failures = []
+        n_iter = array("q", (r.n_iter for r in run_trials(
+            build_emulator(emulator_name, fixture), fixture.dist, q, cfg["seed"],
+            cfg["trials"], failures, cfg["max_iter"])))
+        if len(n_iter) < 2:
             print(f"error: fewer than two uncapped trials at m={m}", file=sys.stderr)
             return 1
-        est = mean_ci([float(r.n_iter) for r in records])
-        n = chain_fixture(m, q).n if name == "thm6-chain" else None
+        est = mean_ci(n_iter)
+        n = fixture.utility.n if name == "thm6-chain" else None
         bound = None if n is None else q * n / 8.0
         rows.append([m, n, est.mean, est.half_width, est.trials, len(failures),
                      bound, _status(est, bound, lower=True)])

@@ -143,8 +143,9 @@ class SourceDistribution:
 
     ``response_one`` gives P[response = 1 | base] as a constant, a mapping from
     base symbol (missing keys mean 0), or a callable; all but a callable are
-    checked up front to lie in [0, 1].  ``atomless`` controls the tie-break
-    augmentation: when set, no single element value has positive probability.
+    checked up front to lie in [0, 1], and a callable's value each time it is
+    used.  ``atomless`` controls the tie-break augmentation: when set, no
+    single element value has positive probability.
     """
 
     marginal: DiscreteMarginal | IntervalMarginal
@@ -209,7 +210,13 @@ class SourceDistribution:
         if isinstance(law, Mapping):
             get = law.get
             return lambda base: float(get(base, 0.0))
-        return lambda base: float(law(base))
+
+        def checked(base: float) -> float:
+            p = float(law(base))
+            if not 0.0 <= p <= 1.0:  # NaN fails too
+                raise ValueError(f"response probability {p} for base {base} outside [0, 1]")
+            return p
+        return checked
 
 
 def uniform_symbols(k: int, *, atomless: bool = False,

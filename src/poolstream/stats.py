@@ -141,14 +141,15 @@ def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return 0.5 * sum(abs(p.mass(k) - q.mass(k)) for k in keys)
 
 
-def empirical_distribution(runs: Sequence[PairsLike],
+def empirical_distribution(runs: Iterable[PairsLike],
                            canonicalizer: Canonicalizer) -> OutcomeDistribution:
-    """Canonical outcome frequencies over a batch of runs.
+    """Canonical outcome frequencies over a batch of runs, counted as the
+    runs arrive: any iterable serves, a generator of trials included.
 
     An empty batch gives an empty support with ``trials=0``.
     """
-    n = len(runs)
-    counts = Counter(canonicalizer(run) for run in runs)
+    counts = Counter(map(canonicalizer, runs))
+    n = counts.total()
     return OutcomeDistribution({k: v / n for k, v in counts.items()},
                                canonicalizer, n)
 

@@ -35,7 +35,8 @@ def greedy(m, q, **kw):
 
 
 def batch(emulator, dist, q, seed, trials):
-    records, failures = run_trials(emulator, dist, q, seed, trials)
+    failures = []
+    records = list(run_trials(emulator, dist, q, seed, trials, failures))
     assert not failures
     return records
 

@@ -6,6 +6,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,15 @@ from poolstream import cli
 
 def run_cli(args):
     return cli.main(args)
+
+
+def stub_run_trials(monkeypatch, records, failures=()):
+    """Stand in for ``cli.run_trials``: yield ``records``, then list ``failures``,
+    so a caller that reads the failures before the records run out sees none."""
+    def run_trials(emulator, dist, q, seed, trials, failed, max_iter=None):
+        yield from records
+        failed.extend(failures)
+    monkeypatch.setattr(cli, "run_trials", run_trials)
 
 
 def read_rows(path):
@@ -104,7 +114,7 @@ class TestEquivTest:
         records = ([ps.RunRecord((high, low), n_sel=2, n_iter=2)] * (kept - kept // 100)
                    + [ps.RunRecord((low, high), n_sel=2, n_iter=2)] * (kept // 100))
         failures = [(t, ps.IterationCapExceeded(2, 2, 0)) for t in range(failed)]
-        monkeypatch.setattr(cli, "run_trials", lambda *args: (records, failures))
+        stub_run_trials(monkeypatch, records, failures)
         out = tmp_path / "verdict.csv"
         assert run_cli(["equiv-test", "--fixture", "greedy-max", "--emulator", "gen",
                         "--m", "2", "--q", "2", "--trials", "5000",
@@ -168,7 +178,7 @@ class TestIterBench:
                                                      n_iters, status, code):
         # gen at m=3, q=1 has the exact expectation m^2 = 9 as its bound.
         records = [ps.RunRecord((), n_sel=1, n_iter=k) for k in n_iters]
-        monkeypatch.setattr(cli, "run_trials", lambda *args: (records, []))
+        stub_run_trials(monkeypatch, records)
         out = tmp_path / "bench.csv"
         assert run_cli(["iter-bench", "--fixture", "greedy-max-discrete", "--emulator",
                         "gen", "--m", "3", "--q", "1", "--trials", "3",
@@ -177,6 +187,12 @@ class TestIterBench:
         assert float(rows[0]["bound"]) == 9.0
         assert rows[0]["status"] == status
         assert rows[1]["status"] == ""  # n_sel has no bound
+
+    def test_infeasible_coded_budget_is_an_error(self, capsys):
+        assert run_cli(["iter-bench", "--fixture", "thm3-good-pool", "--emulator", "gen",
+                        "--m", "6", "--q", "4", "--trials", "200"]) == 1
+        assert ("thm3-good-pool needs q <= ceil(m/2) or m = q = 2, got m=6, q=4"
+                in capsys.readouterr().err)
 
 
 class TestLowerboundDemo:
@@ -199,7 +215,7 @@ class TestLowerboundDemo:
                                                      n_iters, status, code):
         # thm6-chain at m=64, q=2 has alphabet n=23, so the bound q*n/8 is 5.75.
         records = [ps.RunRecord((), n_sel=2, n_iter=k) for k in n_iters]
-        monkeypatch.setattr(cli, "run_trials", lambda *args: (records, []))
+        stub_run_trials(monkeypatch, records)
         out = tmp_path / "demo.csv"
         assert run_cli(["lowerbound-demo", "--fixture", "thm6-chain", "--q", "2",
                         "--m-grid", "64", "--trials", "3", "--out", str(out)]) == code
@@ -218,11 +234,25 @@ class TestLowerboundDemo:
         _, _, rows = read_rows(out)
         assert float(rows[0]["mean_n_iter"]) >= 2.0
 
-    def test_infeasible_budget_is_an_error(self):
+    def test_infeasible_budget_is_an_error(self, capsys):
         # beyond q = ceil(m/2) some pools have no feasible region
         assert run_cli(["lowerbound-demo", "--fixture", "thm3-good-pool",
                         "--q", "3", "--m", "3", "--m-grid", "3",
                         "--trials", "200", "--seed", "15"]) == 1
+        assert ("thm3-good-pool needs q <= ceil(m/2) or m = q = 2, got m=3, q=3"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fixture,q,grid", [("thm6-chain", "2", "8,4"),
+                                                ("thm3-good-pool", "3", "6,4")])
+    def test_grid_is_checked_before_the_first_trial(self, monkeypatch, capsys,
+                                                    fixture, q, grid):
+        # The first m is valid, the second is not: no trial may run.
+        def run_stream(*args):
+            raise AssertionError("a trial ran before the whole grid was checked")
+        monkeypatch.setattr(cli, "run_stream", run_stream)
+        assert run_cli(["lowerbound-demo", "--fixture", fixture, "--q", q,
+                        "--m-grid", grid, "--trials", "20000"]) == 1
+        assert "m=4" in capsys.readouterr().err
 
     def test_budget_is_checked_against_the_grid(self, capsys):
         args = ["lowerbound-demo", "--fixture", "thm6-chain", "--q", "5",
@@ -343,11 +373,69 @@ class TestRunTrials:
     def test_capped_trials_are_listed_by_index(self):
         # Three rounds of m=5 need at least 5 + 4 + 3 draws, above the cap.
         emulator = ps.RejectionEmulator(ps.GreedyUtilityPool(lambda e, h: e.base, 5, 3))
-        records, failures = cli.run_trials(emulator, ps.uniform_interval(), 3,
-                                           31, 4, max_iter=7)
-        assert records == []
+        failures = []
+        assert list(cli.run_trials(emulator, ps.uniform_interval(), 3, 31, 4, failures,
+                                   max_iter=7)) == []
         assert [t for t, _ in failures] == [0, 1, 2, 3]
         assert all(isinstance(exc, ps.IterationCapExceeded) for _, exc in failures)
+
+    def test_records_are_the_per_trial_runs_in_trial_order(self):
+        emulator = ps.RejectionEmulator(ps.GreedyUtilityPool(lambda e, h: e.base, 4, 2))
+        dist, cap = ps.uniform_interval(), 20  # 14 of the 40 trials finish under it
+        want, want_failed = [], []
+        for t in range(40):
+            try:
+                want.append(ps.run_stream(emulator, dist, 2, ps.trial_rng(9, t), cap))
+            except ps.IterationCapExceeded:
+                want_failed.append(t)
+        assert want and want_failed  # the cap splits the batch
+        failures = []
+        assert list(cli.run_trials(emulator, dist, 2, 9, 40, failures, cap)) == want
+        assert [t for t, _ in failures] == want_failed
+
+    def test_trials_run_as_their_records_are_asked_for(self, monkeypatch):
+        calls = []
+        real = cli.run_stream
+        monkeypatch.setattr(cli, "run_stream", lambda *args: calls.append(1) or real(*args))
+        fixture = cli.build_fixture("greedy-max-discrete", 4, 2)
+        records = cli.run_trials(ps.NowaitEmulator(fixture.pool_alg), fixture.dist, 2,
+                                 3, 10**6, [])
+        assert calls == []
+        next(records)
+        next(records)
+        assert len(calls) == 2
+
+
+class TestMemoryIsFlat:
+    """How the traced allocation peak of one CLI call grows with its size."""
+
+    @staticmethod
+    def traced_peak(args):
+        tracemalloc.start()
+        try:
+            assert run_cli(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_equiv_test_does_not_grow_with_trials(self, tmp_path):
+        # Measured growth 0.24 MB (the trial seed cache); keeping every
+        # record grows it by about 4 MB.  A first call fills the caches.
+        args = ["equiv-test", "--fixture", "greedy-max-discrete", "--emulator", "nowait",
+                "--m", "4", "--q", "2", "--tv-threshold", "1", "--out",
+                str(tmp_path / "out.csv"), "--trials"]
+        run_cli(args + ["1000"])
+        growth = self.traced_peak(args + ["10000"]) - self.traced_peak(args + ["1000"])
+        assert growth < 1_000_000
+
+    def test_secretary_table_never_holds_the_report(self, tmp_path):
+        # The table's harmonic sums take 32 bytes per horizon (list slot and
+        # float), and the peak was measured to grow 30-33 bytes per row; a
+        # report held as text adds at least its own 27 bytes per row, and
+        # one held whole in a StringIO grows the peak 118-143.
+        args = ["secretary-table", "--out", str(tmp_path / "table.csv"), "--n-max"]
+        growth = self.traced_peak(args + ["50000"]) - self.traced_peak(args + ["10000"])
+        assert growth / 40000 < 48
 
 
 def test_used_source_pickles_and_replays_its_stream():

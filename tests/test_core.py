@@ -54,6 +54,16 @@ class TestDistributions:
         with pytest.raises(ValueError):
             ps.uniform_symbols(2, atomless=True, response_one=law)
 
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+    def test_callable_law_value_is_checked_where_used(self, value):
+        dist = ps.uniform_symbols(2, atomless=True, response_one=lambda b: value)
+        alg = ps.GreedyUtilityPool(lambda e, h: e.base, 2, 1)
+        with pytest.raises(ValueError, match=f"probability {value} for base 0.0 outside"):
+            ps.exact_pool_distribution(alg, dist, 2, 1)
+        source = StreamSource(dist, ps.trial_rng(0, 0))
+        with pytest.raises(ValueError, match=f"probability {value} for base"):
+            source.reveal(source.next())
+
     def test_mapping_law_defaults_to_zero(self):
         dist = ps.uniform_symbols(3, response_one={2.0: 0.8})
         assert dist.prob_one(2.0) == 0.8

@@ -213,8 +213,9 @@ def assert_same_runs(emulator, reference, dist, q, seed, trials, max_iter=20_000
     # Both sides run under the same cap and their failures are compared, so
     # the cap hides no difference; it turns a replay that can never accept
     # into failed trials instead of a hang.
-    got, got_failed = run_trials(emulator, dist, q, seed, trials, max_iter)
-    want, want_failed = run_trials(reference, dist, q, seed, trials, max_iter)
+    got_failed, want_failed = [], []
+    got = list(run_trials(emulator, dist, q, seed, trials, got_failed, max_iter))
+    want = list(run_trials(reference, dist, q, seed, trials, want_failed, max_iter))
     assert len(got) == len(want)
     bad = [t for t, (a, b) in enumerate(zip(got, want)) if a != b]
     assert not bad, (bad[:5], got[bad[0]], want[bad[0]])

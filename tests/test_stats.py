@@ -266,10 +266,12 @@ class TestFirstQExact:
         }
 
     def test_matches_simulation(self):
-        records, failures = run_trials(ps.FirstQEmulator(), ps.uniform_interval(),
-                                       3, 50, 20000)
+        failures = []
+        empirical = ps.empirical_distribution(
+            run_trials(ps.FirstQEmulator(), ps.uniform_interval(), 3, 50, 20000, failures),
+            ps.RankPattern())
         assert not failures
-        empirical = ps.empirical_distribution(records, ps.RankPattern())
+        assert empirical.trials == 20000
         exact = ps.first_q_exact_distribution(3)
         assert ps.tv_distance(exact, empirical) <= 0.03
 
