@@ -92,12 +92,14 @@ class Fixture:
 
 _BERNOULLI_LAW = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
 
-FIXTURE_NAMES = ("greedy-max", "greedy-max-discrete", "greedy-max-atoms",
-                 "thm3-good-pool", "thm6-chain", "ex1-hypotheses")
+_PLAIN_FIXTURES = ("greedy-max", "greedy-max-discrete", "greedy-max-atoms", "thm3-good-pool")
+FIXTURE_NAMES = _PLAIN_FIXTURES + ("thm6-chain", "ex1-hypotheses")
 EMULATOR_NAMES = ("wait", "nowait", "gen", "utility-stream", "first-q")
 
 
 def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
+    if variant and name in _PLAIN_FIXTURES:
+        raise ValueError(f"fixture {name} has no variants, got variant={variant}")
     if name == "thm3-good-pool":
         # Elsewhere some pools hold fewer than q elements in either region,
         # and the coded algorithm has nothing feasible to select.
@@ -349,7 +351,7 @@ _OPTIONS = {
     "tv_threshold": (float, 0.02, "largest TV distance equiv-test passes"),
     "n_max": (int, 100, "largest horizon for secretary-table"),
     "m_grid": (_int_list, None, "comma-separated pool sizes for lowerbound-demo"),
-    "variant": (int, 0, "response-law index for thm6-chain (0..q)"),
+    "variant": (int, 0, "thm6-chain response law (0..q), ex1-hypotheses target (0..2^q-1)"),
 }
 
 

@@ -56,7 +56,7 @@ class IncompletePool(EmulationError):
 
 @lru_cache(maxsize=1)
 def permutation_from_unit(u: float, size: int) -> tuple[int, ...]:
-    """Decode u in (0, 1] to a permutation of range(size).
+    """Decode u in [0, 1] to a permutation of range(size).
 
     Uses the factorial-base digits of u as a Lehmer code, so a uniform u maps
     to a uniform permutation (exactly in the real-number idealization, to
@@ -68,7 +68,7 @@ def permutation_from_unit(u: float, size: int) -> tuple[int, ...]:
     if size < 1:
         raise ValueError("size must be positive")
     if not 0.0 <= u <= 1.0:  # also false for NaN
-        raise ValueError(f"u={u} outside (0, 1]")
+        raise ValueError(f"u={u} outside [0, 1]")
     frac = u if u < 1.0 else math.nextafter(1.0, 0.0)
     available = list(range(size))
     perm = []

@@ -129,8 +129,8 @@ class IntervalMarginal:
         if not self.pieces:
             raise ValueError("at least one piece required")
         for lo, hi, mass in self.pieces:
-            if not lo < hi:
-                raise ValueError(f"empty piece [{lo}, {hi}]")
+            if not -np.inf < lo < hi < np.inf:  # also false for NaN
+                raise ValueError(f"empty or unbounded piece [{lo}, {hi}]")
             if not mass >= 0:
                 raise ValueError("negative or NaN mass")
         if not abs(sum(p[2] for p in self.pieces) - 1.0) <= _PROB_TOL:
@@ -158,6 +158,8 @@ class SourceDistribution:
             for p in law.values() if isinstance(law, Mapping) else (law,):
                 if not 0.0 <= float(p) <= 1.0:
                     raise ValueError(f"response probability {p} outside [0, 1]")
+        elif not callable(law):
+            raise TypeError(f"response law is no number, mapping or callable: {law!r}")
 
     def __getstate__(self) -> dict:
         # Fields only: the cached decode plans hold closures and are rebuilt on use.

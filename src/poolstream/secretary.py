@@ -9,9 +9,7 @@ so far.  Its success probability is
     phi(r) = (r-1)/n * sum_{j=r}^{n} 1/(j-1)   for r >= 2,
 
 maximized at the unique unimodal optimum (ties broken toward smaller r).
-One upward float search over harmonic sums finds it, in one pass for a
-whole table as the optimum never decreases in n; up to n = 10^5 it is
-exact, as no sum it compares with 1 is within rounding of 1.
+``policy_table`` finds it for every horizon n <= 10^5 in one upward pass.
 Both the threshold and the probability converge to 1/e as n grows.
 """
 
@@ -21,7 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 
 class InvalidHorizon(ValueError):
@@ -41,42 +38,26 @@ class SecretaryPolicy:
 
 
 def optimal_policy(n: int) -> SecretaryPolicy:
-    """The exactly optimal threshold policy for horizon ``n``."""
+    """The exactly optimal threshold policy for horizon ``n``: policy_table's last row."""
     if type(n) is not int or n < 1:
         raise InvalidHorizon(f"horizon must be a positive integer, got {n!r}")
-    return SecretaryPolicy(n, _threshold(_harmonic_prefix(n), n))
-
-
-def _threshold(harmonic: Sequence[float], n: int, r: int = 1) -> int:
-    """The optimal threshold for horizon ``n``, searched upward from ``r``.
-
-    phi is unimodal with increments of sign(T(r+1) - 1) where
-    T(r) = H_{n-1} - H_{r-2}; the optimum is the smallest r with T(r+1) <= 1,
-    i.e. with harmonic[n-1] - harmonic[r-1] <= 1 (r = 1 when n = 1).
-    The float test decides exactly: consecutive unit fractions sum to an
-    integer only as 1/1 (n = 2, where ``<=`` keeps the smaller tie r = 1),
-    and for n <= 10^5 the deciding sums stay 5e-11 or more from 1 (closest
-    at n = 73757, r = 27134), against rounding below 2e-13.
-    Any start at or below the optimum of ``n`` is valid, such as the optimum
-    of ``n - 1``: the tail sum grows with n, so r(n) <= r(n+1), and rounded
-    subtraction is monotone in each argument, so the float test is too.
-    """
-    while harmonic[n - 1] - harmonic[r - 1] > 1.0:
-        r += 1
-    return r
-
-
-def _phi(harmonic: Sequence[float], n: int, r: int) -> float:
-    """phi(r) for horizon ``n`` as a float; ``harmonic`` reaches at least H_n."""
-    if r == 1:
-        return 1.0 / n
-    return (r - 1) / n * (harmonic[n - 1] - harmonic[r - 2])
+    for _, threshold, _ in policy_table(n):
+        pass
+    return SecretaryPolicy(n, threshold)
 
 
 def success_probability(policy: SecretaryPolicy) -> float:
     """phi(threshold) as a float."""
     _validate_policy(policy)
-    return _phi(_harmonic_prefix(policy.n), policy.n, policy.threshold)
+    n, r = policy.n, policy.threshold
+    if r == 1:
+        return 1.0 / n
+    h_n = h_r2 = 0.0  # H_{n-1}, H_{r-2}
+    for j in range(1, n):
+        if j == r - 1:
+            h_r2 = h_n
+        h_n += 1.0 / j
+    return (r - 1) / n * (h_n - h_r2)
 
 
 def success_probability_exact(policy: SecretaryPolicy) -> Fraction:
@@ -94,20 +75,32 @@ def _validate_policy(policy: SecretaryPolicy) -> None:
         raise InvalidHorizon(f"invalid policy {policy}")
 
 
-def _harmonic_prefix(n: int) -> list[float]:
-    """harmonic[k] = H_k = sum_{j=1}^{k} 1/j, for k = 0..n."""
-    return list(accumulate((1.0 / j for j in range(1, n + 1)), initial=0.0))
-
-
 def policy_table(n_max: int):
-    """Yield (n, threshold, success probability) for n = 1..n_max in one pass."""
+    """Yield (n, threshold, success probability) for n = 1..n_max in one pass.
+
+    phi(r+1) - phi(r) has the sign of H_{n-1} - H_{r-1} - 1, so the optimum
+    is the smallest r with H_{n-1} - H_{r-1} <= 1 (r = 1 when n = 1).  Three
+    running sums, H_{n-1}, H_{r-1} and H_{r-2}, each summed upward from 0.0
+    one term 1.0 / j at a time, are all the search and phi read.
+    The float test decides exactly: consecutive unit fractions sum to an
+    integer only as 1/1 (n = 2, where ``<=`` keeps the smaller tie r = 1),
+    and for n <= 10^5 the deciding sums stay 5e-11 or more from 1 (closest
+    at n = 73757, r = 27134), against rounding below 2e-13.
+    Each row's search may start from the last row's r: the tail sum grows
+    with n, so r(n) <= r(n+1), and rounded subtraction is monotone in each
+    argument, so the float test is too.
+    """
     if n_max < 1:
         raise InvalidHorizon(f"n_max must be positive, got {n_max}")
-    harmonic = _harmonic_prefix(n_max)
+    h_n = h_r1 = h_r2 = 0.0  # H_{n-1}, H_{r-1}, H_{r-2}
     r = 1
     for n in range(1, n_max + 1):
-        r = _threshold(harmonic, n, r)
-        yield n, r, _phi(harmonic, n, r)
+        while h_n - h_r1 > 1.0:
+            h_r2 = h_r1
+            h_r1 += 1.0 / r
+            r += 1
+        yield n, r, 1.0 / n if r == 1 else (r - 1) / n * (h_n - h_r2)
+        h_n += 1.0 / n
 
 
 @lru_cache(maxsize=None)

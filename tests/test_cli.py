@@ -323,6 +323,17 @@ class TestConfigAndErrors:
         assert f"{cfg}:2: unknown key 'trails'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,fixture", [
+        ("iter-bench", "greedy-max"), ("iter-bench", "greedy-max-discrete"),
+        ("iter-bench", "greedy-max-atoms"), ("equiv-test", "thm3-good-pool")])
+    def test_variant_of_fixture_without_variants_is_refused(self, tmp_path, capsys,
+                                                            command, fixture):
+        out = tmp_path / "o.csv"
+        assert run_cli([command, "--fixture", fixture, "--variant", "3",
+                        "--trials", "10", "--out", str(out)]) == 1
+        assert f"fixture {fixture} has no variants" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["m=abc", "tv_threshold=x", "m_grid=4,x"])
     def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -429,13 +440,14 @@ class TestMemoryIsFlat:
         assert growth < 1_000_000
 
     def test_secretary_table_never_holds_the_report(self, tmp_path):
-        # The table's harmonic sums take 32 bytes per horizon (list slot and
-        # float), and the peak was measured to grow 30-33 bytes per row; a
-        # report held as text adds at least its own 27 bytes per row, and
-        # one held whole in a StringIO grows the peak 118-143.
+        # The table keeps three running sums, and the peak was measured to
+        # grow 0.24 bytes per row.  A float per horizon fails this: a list
+        # of harmonic sums grows it 30-33 bytes per row, a packed array of
+        # them 8, a report held as text at least its own 27, and one held
+        # whole in a StringIO 118-143.
         args = ["secretary-table", "--out", str(tmp_path / "table.csv"), "--n-max"]
         growth = self.traced_peak(args + ["50000"]) - self.traced_peak(args + ["10000"])
-        assert growth / 40000 < 48
+        assert growth / 40000 < 2
 
 
 def test_used_source_pickles_and_replays_its_stream():

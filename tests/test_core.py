@@ -2,6 +2,7 @@
 
 import bisect
 import itertools
+import math
 import os
 import pickle
 import subprocess
@@ -44,9 +45,19 @@ class TestDistributions:
         with pytest.raises(ValueError):
             ps.IntervalMarginal(((1.0, 1.0, 1.0),))
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
+    def test_unbounded_piece_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="unbounded"):
+            ps.IntervalMarginal(((lo, hi, 1.0),))
+
     def test_constant_law_range(self):
         with pytest.raises(ValueError):
             ps.SourceDistribution(ps.DiscreteMarginal((0.0,), (1.0,)), 1.5)
+
+    @pytest.mark.parametrize("law", ["0.5", None, [0.5]])
+    def test_law_of_wrong_type_rejected(self, law):
+        with pytest.raises(TypeError):
+            ps.uniform_symbols(2, atomless=True, response_one=law)
 
     @pytest.mark.parametrize("law", [{0.0: 1.5, 1.0: 0.5}, {1.0: -0.1},
                                      {0.0: float("nan")}, float("nan")])

@@ -72,6 +72,28 @@ def test_success_probability_float_agrees_with_exact():
         assert success_probability(policy) == pytest.approx(float(exact), abs=1e-12)
 
 
+def test_success_probability_float_agrees_with_exact_at_every_threshold():
+    for n in range(1, 41):
+        for r in range(1, n + 1):
+            policy = SecretaryPolicy(n, r)
+            exact = success_probability_exact(policy)
+            assert success_probability(policy) == pytest.approx(float(exact), abs=1e-12)
+
+
+def downward_tail_threshold(n):
+    """Smallest r >= 2 with sum_{j=r}^{n-1} 1/j <= 1, summed from j = n-1 down."""
+    r, tail = n, 0.0
+    while r > 2 and tail + 1.0 / (r - 1) <= 1.0:
+        r -= 1
+        tail += 1.0 / r
+    return r
+
+
+@pytest.mark.parametrize("n", [1000, 10**4, 73757, 10**5])
+def test_thresholds_equal_downward_tail_sum_search(n):
+    assert optimal_policy(n).threshold == downward_tail_threshold(n)
+
+
 def test_asymptotics_at_ten_thousand():
     policy = optimal_policy(10**4)
     inv_e = 1.0 / math.e
