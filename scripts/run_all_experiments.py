@@ -2,12 +2,14 @@
 """Run the full experiment grid and write CSV reports under results/.
 
 A thin driver over the ``poolstream`` CLI.  Trial counts default to a quick
-desk-scale pass; raise --trials for publication-grade noise floors.
+desk-scale pass; raise --trials for publication-grade noise floors.  Each
+report's line gives its wall seconds, and the last line the total.
 """
 
 import argparse
 import pathlib
 import sys
+import time
 
 from poolstream import cli
 
@@ -47,11 +49,14 @@ def main():
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = []
+    start = time.perf_counter()
 
     def run(tag, argv):
+        began = time.perf_counter()
         code = cli.main(argv)
+        seconds = time.perf_counter() - began
         marker = {0: "ok", 2: "FAIL rows"}.get(code, f"exit {code}")
-        print(f"{tag:55s} {marker}")
+        print(f"{tag:55s} {marker:10s} {seconds:8.2f} s")
         if code not in (0, 2):
             failures.append(tag)
         return code
@@ -80,6 +85,7 @@ def main():
                             "--seed", str(args.seed),
                             "--out", str(out_dir / "lowerbound-thm3.csv")])
 
+    print(f"{'total':55s} {'':10s} {time.perf_counter() - start:8.2f} s")
     if failures:
         print("unexpected errors:", ", ".join(failures))
         return 1

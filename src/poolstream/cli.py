@@ -414,6 +414,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if value is not None:  # a flag overrides the file
             cfg[key] = value
     cfg["subcommand"] = args.subcommand
+    if args.subcommand == "secretary-table":  # reads n_max and out only
+        return cfg
     if not 0 <= cfg["seed"] < 2**64:
         raise ValueError("seed must fit in 64 bits")
     grid = cfg["m_grid"] if args.subcommand == "lowerbound-demo" else None

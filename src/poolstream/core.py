@@ -12,13 +12,16 @@ are driven here, with uniform accounting of
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Union
+from itertools import accumulate
+from typing import TYPE_CHECKING, NamedTuple, Union
 
-import numpy as np
+if TYPE_CHECKING:  # at run time numpy loads at the first stream draw
+    import numpy as np
 
 DEFAULT_MAX_ITER = 10**8
 
@@ -129,7 +132,7 @@ class IntervalMarginal:
         if not self.pieces:
             raise ValueError("at least one piece required")
         for lo, hi, mass in self.pieces:
-            if not -np.inf < lo < hi < np.inf:  # also false for NaN
+            if not -math.inf < lo < hi < math.inf:  # also false for NaN
                 raise ValueError(f"empty or unbounded piece [{lo}, {hi}]")
             if not mass >= 0:
                 raise ValueError("negative or NaN mass")
@@ -194,7 +197,7 @@ class SourceDistribution:
         marginal = self.marginal
         discrete = isinstance(marginal, DiscreteMarginal)
         masses = marginal.probs if discrete else [mass for _, _, mass in marginal.pieces]
-        cum = np.cumsum(masses).tolist()
+        cum = list(accumulate(masses))
         top = max(i for i, mass in enumerate(masses) if mass > 0)
         width = 1 + self.atomless + (self.constant_response not in (0.0, 1.0))
         pieces = None if discrete else [
@@ -273,6 +276,7 @@ def _trial_seed_words(seed: int, block: int) -> np.ndarray:
     arrays over the whole block.  Within an aligned block only the trial's low
     word varies, and it never carries into the high words.
     """
+    import numpy as np
     first = block * _TRIAL_BLOCK
     trial_words = _int_words(first)
 
@@ -319,16 +323,18 @@ def _trial_seed_words(seed: int, block: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _trial_seed_type() -> type:
-    """An ``ISeedSequence`` that hands PCG64 precomputed seed words.
+def _trial_seed_type() -> tuple[type, type, type]:
+    """``(TrialSeed, Generator, PCG64)``: an ``ISeedSequence`` that hands
+    PCG64 precomputed seed words, and the classes of a trial's RNG.
 
     PCG64 accepts only ``ISeedSequence`` instances in place of a SeedSequence.
-    The class is made on first use because defining it imports numpy.random,
-    which ``import poolstream`` does not otherwise need.
+    All three are resolved on first use because they import numpy, which
+    ``import poolstream`` does not otherwise need.
     """
-    from numpy.random.bit_generator import ISeedSequence
+    import numpy as np
+    from numpy.random import PCG64, Generator, bit_generator
 
-    class TrialSeed(ISeedSequence):
+    class TrialSeed(bit_generator.ISeedSequence):
         def __init__(self, words: np.ndarray):
             self._words = words
 
@@ -340,11 +346,11 @@ def _trial_seed_type() -> type:
         def __reduce__(self):
             return _trial_seed, (self._words,)
 
-    return TrialSeed
+    return TrialSeed, Generator, PCG64
 
 
 def _trial_seed(words: np.ndarray):
-    return _trial_seed_type()(words)
+    return _trial_seed_type()[0](words)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -353,14 +359,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     Streams are keyed by (seed, trial) so trials are order-independent and may
     run concurrently.  The stream equals numpy's
     ``default_rng(SeedSequence([seed, trial]))``; the seed words are derived
-    for 1024 trials at a time, which is most of what that call costs.
+    for 1024 trials at a time, which is most of what that call costs.  The
+    first call imports numpy, which the package needs for stream draws only.
     """
     seed, trial = int(seed), int(trial)
     if seed < 0 or trial < 0:
         raise ValueError("expected non-negative integer")
     block, i = divmod(trial, _TRIAL_BLOCK)
-    words = _trial_seed_words(seed, block)[i]
-    return np.random.Generator(np.random.PCG64(_trial_seed(words)))
+    trial_seed, generator, pcg64 = _trial_seed_type()
+    return generator(pcg64(trial_seed(_trial_seed_words(seed, block)[i])))
 
 
 #: First and largest uniform block a :class:`StreamSource` draws.

@@ -299,6 +299,20 @@ class TestConfigAndErrors:
     def test_budget_above_pool_is_config_error(self):
         assert run_cli(["equiv-test", "--m", "2", "--q", "5"]) == 1
 
+    @pytest.mark.parametrize("option,message", [
+        (["--q", "5"], "q=5 exceeds m=4"),
+        (["--trials", "0"], "trials must be positive"),
+        (["--seed", str(2**64)], "seed must fit in 64 bits"),
+    ], ids=["q-above-m", "zero-trials", "seed-beyond-64-bits"])
+    def test_trial_options_are_checked_where_read(self, tmp_path, capsys, option, message):
+        # secretary-table reads neither the seed, the trials nor m and q.
+        out = tmp_path / "table.csv"
+        assert run_cli(["secretary-table", "--n-max", "5", *option, "--out", str(out)]) == 0
+        assert len(read_rows(out)[2]) == 5
+        for command in ("equiv-test", "iter-bench", "lowerbound-demo"):
+            assert run_cli([command, "--fixture", "thm6-chain", *option]) == 1
+            assert message in capsys.readouterr().err
+
     def test_wait_on_atomless_fixture_is_error(self):
         assert run_cli(["equiv-test", "--fixture", "greedy-max", "--emulator",
                         "wait", "--m", "3", "--q", "1", "--trials", "10"]) == 1

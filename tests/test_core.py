@@ -10,8 +10,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import poolstream as ps
+from poolstream import cli
 from poolstream.core import StreamSource
 
 
@@ -454,6 +456,48 @@ def test_zero_mass_last_entry_is_never_drawn(dist):
         assert pair.response == 0
 
 
+def assert_table_matches_numpy(dist):
+    """``sampling_table``'s cumulative masses equal numpy's ``cumsum`` bit for
+    bit, and ``top`` is the index of the last entry of positive mass."""
+    marginal = dist.marginal
+    masses = (marginal.probs if dist.is_discrete
+              else [mass for _, _, mass in marginal.pieces])
+    _, cum, _, _, top = dist.sampling_table
+    assert [c.hex() for c in cum] == [c.hex() for c in np.cumsum(masses).tolist()]
+    assert top == max(i for i, mass in enumerate(masses) if mass > 0)
+
+
+# Every CLI fixture's source, at the sizes and variants that change its masses.
+CLI_SOURCES = [
+    *((name, 4, 2, 0) for name in cli._PLAIN_FIXTURES),
+    *(("thm3-good-pool", m, 2, 0) for m in (3, 7, 16, 100)),
+    *(("thm6-chain", m, 2, v) for m in (8, 24, 64) for v in range(3)),
+    *(("ex1-hypotheses", 60, q, v) for q in (2, 3, 5) for v in (0, (1 << q) - 1)),
+]
+
+
+@pytest.mark.parametrize("name,m,q,variant", CLI_SOURCES)
+def test_cli_sources_cumulate_as_numpy(name, m, q, variant):
+    assert_table_matches_numpy(cli.build_fixture(name, m, q, variant).dist)
+
+
+@given(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=40),
+       st.integers(0, 5), st.booleans())
+@example([1.0] * 10, 2, False)  # ten masses of 0.1 add up to 0.9999999999999999
+@example([1.0] * 10, 0, True)
+@example([3.0, 1.0, 7.0], 3, True)
+def test_cumulative_masses_equal_numpy(weights, zero_tail, pieces):
+    total = math.fsum(weights)
+    masses = [w / total for w in weights] + [0.0] * zero_tail
+    if pieces:
+        marginal = ps.IntervalMarginal(tuple((i, i + 1, mass)
+                                             for i, mass in enumerate(masses)))
+    else:
+        marginal = ps.DiscreteMarginal(tuple(float(i) for i in range(len(masses))),
+                                       tuple(masses))
+    assert_table_matches_numpy(ps.SourceDistribution(marginal, 0.5, atomless=pieces))
+
+
 def test_responses_stay_sealed_until_reveal():
     # A response law runs only for revealed elements, once each.
     calls = []
@@ -492,11 +536,32 @@ def test_cap_is_raised_mid_block():
     assert src.n_iter == 100
 
 
-def test_import_does_not_load_numpy_random():
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports poolstream from here;
+    return its stdout."""
     package_root = os.path.dirname(os.path.dirname(ps.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, poolstream; print('numpy.random' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.strip()
+
+
+def test_import_secretary_table_and_exact_laws_skip_numpy(tmp_path):
+    out = tmp_path / "table.csv"
+    assert run_fresh(
+        "import sys, poolstream, poolstream.cli as cli\n"
+        f"assert cli.main(['secretary-table', '--n-max', '300', '--out', {str(out)!r}]) == 0\n"
+        "for name in ('greedy-max', 'greedy-max-discrete', 'thm3-good-pool'):\n"
+        "    cli.build_fixture(name, 4, 2).exact()\n"
+        "print('numpy' in sys.modules)") == "False"
+    assert len(out.read_text().splitlines()) > 300
+
+
+def test_first_trial_loads_numpy(tmp_path):
+    # The deferral happens: a command that draws a stream does load numpy.
+    out = tmp_path / "equiv.csv"
+    assert run_fresh(
+        "import sys, poolstream, poolstream.cli as cli\n"
+        "print('numpy' in sys.modules)\n"
+        f"cli.main(['equiv-test', '--trials', '2', '--out', {str(out)!r}])\n"
+        "print('numpy' in sys.modules)").split() == ["False", "True"]
+    assert out.exists()
