@@ -227,7 +227,8 @@ class SourceDistribution:
 def uniform_symbols(k: int, *, atomless: bool = False,
                     response_one: ResponseLawLike = 0.0) -> SourceDistribution:
     """Uniform marginal over the integer symbols 0..k-1."""
-    probs = (1.0 / k,) * k
+    # k < 1 leaves both tuples empty, which the marginal refuses.
+    probs = (1.0 / max(k, 1),) * k
     return SourceDistribution(DiscreteMarginal(tuple(float(i) for i in range(k)), probs),
                               response_one, atomless)
 

@@ -48,6 +48,7 @@ UtilityFunction = Callable[[Element, History], float]
 class GreedyUtilityPool(PoolAlgorithm):
     """Pool algorithm selecting the utility argmax each round.
 
+    Keys compare score first, then tie-break; scores must be totally ordered.
     ``tie_break`` is "error" (raise :class:`TieDetected`, the no-ties contract)
     or "index" (keep the lowest pool index; value-level behavior stays
     permutation invariant, which makes the algorithm usable on atom-bearing
@@ -67,18 +68,18 @@ class GreedyUtilityPool(PoolAlgorithm):
                     selected: frozenset[int]) -> int:
         utility = self.utility
         best_idx = -1
-        best_key = None
+        best = best_tb = None
         tied = False
         for idx, element in enumerate(elements):
             if idx in selected:
                 continue
-            key = (utility(element, history), element.tiebreak)
-            if best_key is None or key > best_key:
-                best_idx, best_key, tied = idx, key, False
-            elif key == best_key:
+            score = utility(element, history)
+            if best is None or score > best or score == best and element.tiebreak > best_tb:
+                best_idx, best, best_tb, tied = idx, score, element.tiebreak, False
+            elif score == best and element.tiebreak == best_tb:
                 tied = True
         if tied and self.tie_break == "error":
-            raise TieDetected(f"two pool elements share the maximal score {best_key}")
+            raise TieDetected(f"two pool elements share the maximal score {(best, best_tb)}")
         return best_idx
 
 
@@ -207,9 +208,10 @@ class SecretaryEmulator(StreamEmulator):
     selected and its response revealed.  The attempt succeeds only if that
     selection turns out to score highest among all its candidates; otherwise
     the revealed pair is discarded and a fresh attempt starts.  After a
-    success the domain shrinks to scores strictly below the accepted one
+    success the domain shrinks to keys strictly below the accepted one
     (scored against the history before this round), which is what keeps the
-    output distribution aligned with the pool algorithm's.
+    output distribution aligned with the pool algorithm's.  Keys compare
+    score first, then tie-break; scores must be totally ordered.
 
     The attempt count per round goes to ``source.round_attempts``; the
     emulator itself keeps no per-run state.
@@ -229,12 +231,12 @@ class SecretaryEmulator(StreamEmulator):
         utility = self.utility
         nxt = source.next
         accepted: list[LabeledPair] = []
-        # (history snapshot, cutoff key) per finished round, newest first; an
-        # element is in the current domain iff it scores strictly below every
-        # cutoff under the matching snapshot.  The newest cutoff is the
-        # tightest one under a history-independent utility, so testing it
-        # first rejects most elements with one utility call.
-        filters: list[tuple[tuple[LabeledPair, ...], tuple[float, float]]] = []
+        # (history snapshot, cutoff score, cutoff tie-break) per finished
+        # round, newest first; an element is in the current domain iff its key
+        # is below every cutoff under the matching snapshot.  The newest cutoff
+        # is the tightest one under a history-independent utility, so testing
+        # it first rejects most elements with one utility call.
+        filters: list[tuple[tuple[LabeledPair, ...], float, float]] = []
         attempts_log: list[int] = []
         for i in range(1, q + 1):
             horizon = m - i + 1
@@ -243,28 +245,30 @@ class SecretaryEmulator(StreamEmulator):
             attempts = 0
             while True:
                 attempts += 1
-                best_key = None
+                best = best_tb = None
                 chosen: LabeledPair | None = None
                 chosen_key = None
                 for j in range(1, horizon + 1):
                     while True:
                         element = nxt()
-                        for hist, cutoff in filters:
-                            if (utility(element, hist), element.tiebreak) >= cutoff:
+                        for hist, cut, cut_tb in filters:
+                            score = utility(element, hist)
+                            if score > cut or score == cut and element.tiebreak >= cut_tb:
                                 break
                         else:
                             break
-                    key = (utility(element, snapshot), element.tiebreak)
-                    if best_key is None or key > best_key:
-                        best_key = key
+                    score = utility(element, snapshot)
+                    if (best is None or score > best
+                            or score == best and element.tiebreak > best_tb):
+                        best, best_tb = score, element.tiebreak
                         if chosen is None and j >= threshold:
                             chosen = _new(LabeledPair, (element, source.reveal(element)))
-                            chosen_key = key
-                if chosen is not None and chosen_key == best_key:
+                            chosen_key = (score, best_tb)
+                if chosen is not None and chosen_key == (best, best_tb):
                     break
                 # failed attempt: any revealed pair stays counted but discarded
             attempts_log.append(attempts)
-            filters.insert(0, (snapshot, chosen_key))
+            filters.insert(0, (snapshot, *chosen_key))
             accepted.append(chosen)
         source.round_attempts = tuple(attempts_log)
         return tuple(accepted)

@@ -33,6 +33,11 @@ class TestDistributions:
         with pytest.raises(ValueError):
             ps.IntervalMarginal(((0.0, 1.0, 1.2), (1.0, 2.0, -0.2)))
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_no_symbols_rejected(self, k):
+        with pytest.raises(ValueError, match="non-empty"):
+            ps.uniform_symbols(k)
+
     @pytest.mark.parametrize("marginal", [
         lambda: ps.DiscreteMarginal((0.0, 1.0), (float("nan"), 1.0)),
         lambda: ps.DiscreteMarginal((0.0,), (float("nan"),)),

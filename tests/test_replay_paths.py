@@ -1,12 +1,14 @@
 """Differential tests of the pool-replay and filter paths.
 
-``CodedPoolAlgorithm.select_next``, ``RejectionEmulator`` and
-``SecretaryEmulator`` are written for speed: one sort over whole elements,
-a committed-elements list kept across redraws, and newest-first domain
-filters.  Each is checked here against a reference copy of the plain code it
-replaced, kept in this file, on the same seeded inputs: indices, raised
-errors and whole run records (counters and round attempts included) must be
-identical.
+``CodedPoolAlgorithm.select_next``, ``RejectionEmulator``,
+``SecretaryEmulator`` and ``GreedyUtilityPool.select_next`` are written for
+speed: one sort over whole elements, a committed-elements list kept across
+redraws, newest-first domain filters, and key comparisons that test the
+score first and read the tie-break only on equal scores, with no
+``(score, tiebreak)`` tuple built per utility call.  Each is checked here
+against a reference copy of the plain code it replaced, kept in this file,
+on the same seeded inputs: indices, raised errors and whole run records
+(counters and round attempts included) must be identical.
 """
 
 import numpy as np
@@ -51,6 +53,24 @@ def reference_coded_select(alg, elements, history, selected):
         if idx not in selected:
             return idx
     raise ps.InfeasiblePool("no unselected element left in the feasible region")
+
+
+def reference_greedy_select(alg, elements, history, selected):
+    """``GreedyUtilityPool.select_next`` building a (score, tiebreak) key per element."""
+    best_idx = -1
+    best_key = None
+    tied = False
+    for idx, element in enumerate(elements):
+        if idx in selected:
+            continue
+        key = (alg.utility(element, history), element.tiebreak)
+        if best_key is None or key > best_key:
+            best_idx, best_key, tied = idx, key, False
+        elif key == best_key:
+            tied = True
+    if tied and alg.tie_break == "error":
+        raise ps.TieDetected(f"two pool elements share the maximal score {best_key}")
+    return best_idx
 
 
 class ReferenceRejection(ps.StreamEmulator):
@@ -163,7 +183,7 @@ def coded_pools(m, rng):
 def outcome(select, *args):
     try:
         return select(*args)
-    except ps.InfeasiblePool as exc:
+    except (ps.InfeasiblePool, ps.TieDetected) as exc:
         return (type(exc), str(exc))
 
 
@@ -204,6 +224,12 @@ def test_coded_select_matches_reference():
 # ---------------------------------------------------------------------------
 # (b) SecretaryEmulator and (c) RejectionEmulator run records
 # ---------------------------------------------------------------------------
+
+# A secretary mutant that leaves an element in the domain when its key equals
+# the cutoff (``>`` for ``>=`` in the tie clause) is equivalent on atomless
+# sources: only the accepted element itself has the cutoff's exact key, and a
+# continuous tie-break draws it again with probability zero.  The tests below
+# cannot catch it, and no test chases it.
 
 def failure_view(failures):
     return [(t, type(e), e.n_iter, e.n_sel, e.revealed) for t, e in failures]
@@ -283,3 +309,62 @@ def test_rejection_matches_reference_on_greedy_pool():
     assert_same_runs(ps.RejectionEmulator(alg), ReferenceRejection(alg),
                      ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI),
                      2, 542, 300)
+
+
+# ---------------------------------------------------------------------------
+# (d) GreedyUtilityPool.select_next
+# ---------------------------------------------------------------------------
+
+def greedy_pools(m, rng):
+    """Pools of m elements over three symbols: every tie-break 0.0, as an atom
+    source draws them; drawn tie-breaks, so equal scores differ in tie-break;
+    and drawn tie-breaks with one element repeated, so two keys are equal."""
+    for _ in range(4):
+        bases = rng.integers(0, 3, m).astype(float)
+        yield [ps.Element(float(b), 0.0) for b in bases]
+        pool = [ps.Element(float(b), float(t)) for b, t in zip(bases, rng.random(m))]
+        yield pool
+        i, j = rng.choice(m, 2, replace=False)
+        dup = list(pool)
+        dup[j] = dup[i]
+        yield dup
+
+
+def test_greedy_select_matches_reference():
+    rng = np.random.default_rng(550)
+    mismatches = []
+    seen = {"index-tie": 0, "tiebreak-decides": 0, "tie-error": 0, "selected": 0,
+            "history-dependent": 0}
+    for utility in (base_utility, flip_on_one, flip_by_length):
+        for m in range(2, 6):
+            for tie_break in ("error", "index"):
+                alg = ps.GreedyUtilityPool(utility, m, m, tie_break)
+                for pool in greedy_pools(m, rng):
+                    # Walk every history the interaction reaches, branching
+                    # on both responses of each selected element.
+                    stack = [((), frozenset())]
+                    while stack:
+                        history, selected = stack.pop()
+                        got = outcome(alg.select_next, pool, history, selected)
+                        want = outcome(reference_greedy_select, alg, pool, history, selected)
+                        if got != want or type(got) is not type(want):
+                            mismatches.append((utility.__name__, tie_break, pool,
+                                               history, got, want))
+                            continue
+                        keys = [(utility(e, history), e.tiebreak)
+                                for i, e in enumerate(pool) if i not in selected]
+                        top = max(keys)
+                        seen["index-tie"] += tie_break == "index" and keys.count(top) > 1
+                        seen["tiebreak-decides"] += len(
+                            {tb for score, tb in keys if score == top[0]}) > 1
+                        seen["tie-error"] += isinstance(got, tuple)
+                        seen["selected"] += bool(selected)
+                        seen["history-dependent"] += utility is flip_on_one and any(
+                            pair.response == 1 for pair in history)
+                        if isinstance(got, tuple) or len(selected) + 1 == m:
+                            continue
+                        for response in (0, 1):
+                            stack.append((history + (ps.LabeledPair(pool[got], response),),
+                                          selected | {got}))
+    assert not mismatches, mismatches[:3]
+    assert all(count > 0 for count in seen.values()), seen
