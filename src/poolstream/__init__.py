@@ -24,10 +24,7 @@ from .core import (
     StreamEmulator,
     StreamSource,
     TieDetected,
-    point_mass,
-    run_pool,
     run_stream,
-    sample_pool,
     trial_rng,
     uniform_interval,
     uniform_symbols,
@@ -40,7 +37,6 @@ from .secretary import (
     policy_table,
     secpr,
     success_probability,
-    success_probability_exact,
 )
 from .emulators import (
     FirstQEmulator,
@@ -63,9 +59,7 @@ from .constructions import (
     InvalidShape,
     chain_fixture,
     hypothesis_class,
-    identify_bits,
     permutation_from_unit,
-    pool_bit_learner,
     region_of,
     two_region_marginal,
     unit_from_permutation,
@@ -79,7 +73,6 @@ from .stats import (
     TooLargeToEnumerate,
     empirical_distribution,
     exact_pool_distribution,
-    first_q_exact_distribution,
     mean_ci,
     tv_distance,
     two_region_exact_distribution,

@@ -26,6 +26,7 @@ import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import TextIO
 
 from .core import (
     DEFAULT_MAX_ITER,
@@ -167,17 +168,24 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _emit(out_path: str | None, meta: dict, header: list[str],
-          rows: Iterable[Sequence]) -> None:
-    """Write the metadata lines, the header and each row as it comes,
-    straight to ``out_path`` or to stdout; the report is never held whole."""
+@contextlib.contextmanager
+def _report(out_path: str | None, meta: dict, header: list[str]) -> Iterator[TextIO]:
+    """Open ``out_path`` (stdout if None), write the sorted ``# key=value``
+    metadata lines and the header, and yield the handle for the rows."""
     with (open(out_path, "w", newline="") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={_fmt(meta[key])}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write(",".join(header) + "\n")
+        yield fh
+
+
+def _emit(out_path: str | None, meta: dict, header: list[str],
+          rows: Iterable[Sequence]) -> None:
+    """Write a report through the csv writer, which quotes outcome ids, each
+    row as it comes; the report is never held whole."""
+    with _report(out_path, meta, header) as fh:
+        csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
 
 
 def run_trials(emulator: StreamEmulator, dist: SourceDistribution, q: int,
@@ -289,7 +297,9 @@ def cmd_secretary_table(cfg: dict) -> int:
     if not 1 <= n_max <= _MAX_TABLE_N:
         print(f"error: n_max must be in [1, {_MAX_TABLE_N}]", file=sys.stderr)
         return 1
-    _emit(cfg["out"], _meta(cfg), ["n", "threshold", "p_sp"], policy_table(n_max))
+    with _report(cfg["out"], _meta(cfg), ["n", "threshold", "p_sp"]) as fh:
+        # _fmt's int and float rules in one f-string per row; no cell needs quoting.
+        fh.writelines(f"{n},{r},{p:.12g}\n" for n, r, p in policy_table(n_max))
     return 0
 
 

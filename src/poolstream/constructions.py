@@ -17,7 +17,6 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
@@ -28,9 +27,7 @@ from .core import (
     IntervalMarginal,
     LabeledPair,
     PoolAlgorithm,
-    RunRecord,
     SourceDistribution,
-    run_pool,
 )
 
 
@@ -91,14 +88,13 @@ def unit_from_permutation(perm: Sequence[int]) -> float:
     """
     size = len(perm)
     available = list(range(size))
-    value = Fraction(0)
-    scale = Fraction(1)
+    index = 0  # the Lehmer index: the cell is [index, index + 1] / size!
     for radix in range(size, 1, -1):
         digit = available.index(perm[size - radix])
         available.pop(digit)
-        scale /= radix
-        value += digit * scale
-    return float(value + scale / 2)
+        index = index * radix + digit
+    # Int true division rounds correctly, so this is the exact midpoint rounded once.
+    return (2 * index + 1) / (2 * math.factorial(size))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +331,7 @@ class BitIdentificationPool(PoolAlgorithm):
     Round t queries element (t, j) where j encodes the bits identified so
     far: for t <= T the full known suffix, beyond that the known window
     shifted down by one.  A 1-label means the next bit is 0.  After q rounds
-    the target index is determined; decode it with :func:`identify_bits`.
+    the responses determine the target index.
     """
 
     def __init__(self, hclass: HypothesisClass, m: int):
@@ -371,26 +367,3 @@ def _window_after(T: int, history: History) -> int:
         else:
             window = (window >> 1) | (bit << (T - 1))
     return window
-
-
-def identify_bits(hclass: HypothesisClass, history: History) -> int:
-    """Decode the target hypothesis index from a full learner history."""
-    index = 0
-    for t, pair in enumerate(history, start=1):
-        bit = 0 if pair.response == 1 else 1
-        index |= bit << (t - 1)
-    return index
-
-
-def pool_bit_learner(hclass: HypothesisClass, pool: Sequence[LabeledPair],
-                     q: int) -> tuple[int, RunRecord]:
-    """Run the bit-identification learner on a pool; return (index, record).
-
-    The pool must contain every element the query path needs (a pool holding
-    all of the domain always suffices); otherwise :class:`IncompletePool` is
-    raised, which corresponds to the learner's failure event.
-    """
-    if q != hclass.q:
-        raise InvalidShape(f"learner identifies exactly q={hclass.q} bits, got q={q}")
-    record = run_pool(BitIdentificationPool(hclass, len(pool)), pool, q)
-    return identify_bits(hclass, record.output), record

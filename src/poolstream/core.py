@@ -240,12 +240,6 @@ def uniform_interval(lo: float = 0.0, hi: float = 1.0, *,
                               atomless=True)
 
 
-def point_mass(symbol: float, *, response_one: ResponseLawLike = 0.0) -> SourceDistribution:
-    """Degenerate marginal on one symbol (useful for recurrence tests)."""
-    return SourceDistribution(DiscreteMarginal((float(symbol),), (1.0,)),
-                              response_one, atomless=False)
-
-
 # numpy's SeedSequence hash (bit_generator.pyx); NEP 19 keeps it stable.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -340,7 +334,9 @@ def _trial_seed_type() -> tuple[type, type, type]:
             self._words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            # PCG64 passes the type itself; the identity test skips np.dtype().
+            if n_words != _POOL_SIZE or (dtype is not np.uint64
+                                         and np.dtype(dtype) != np.uint64):
                 raise ValueError("a trial seed only holds PCG64's four uint64 words")
             return self._words
 
@@ -481,14 +477,6 @@ class StreamSource:
         return tuple(self._revealed)
 
 
-def sample_pool(dist: SourceDistribution, m: int, rng: np.random.Generator) -> list[LabeledPair]:
-    """Draw an i.i.d. pool of ``m`` pairs through a private :class:`StreamSource`."""
-    source = StreamSource(dist, rng)
-    for _ in range(m):
-        source.reveal(source.next())
-    return list(source.revealed)
-
-
 class RunRecord(NamedTuple):
     """One run's output plus its cost counters.
 
@@ -554,21 +542,6 @@ def interact_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair],
         selected.add(idx)
         history.append(pool[idx])
     return history
-
-
-def run_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair], q: int) -> RunRecord:
-    """Execute a pool algorithm on a sealed pool.
-
-    The pool algorithm observes every element, so ``n_iter`` equals the pool
-    size and ``n_sel`` equals the budget.
-    """
-    m = len(pool)
-    if q > m:
-        raise ValueError(f"budget q={q} exceeds pool size m={m}")
-    if getattr(alg, "m", m) != m:
-        raise ValueError(f"pool algorithm expects m={alg.m}, got pool of size {m}")
-    history = interact_pool(alg, pool, q)
-    return _new(RunRecord, (tuple(history), q, m, None))
 
 
 def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,

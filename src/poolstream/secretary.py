@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -58,16 +57,6 @@ def success_probability(policy: SecretaryPolicy) -> float:
             h_r2 = h_n
         h_n += 1.0 / j
     return (r - 1) / n * (h_n - h_r2)
-
-
-def success_probability_exact(policy: SecretaryPolicy) -> Fraction:
-    """phi(threshold) as an exact rational (intended for modest horizons)."""
-    n, r = policy.n, policy.threshold
-    _validate_policy(policy)
-    if r == 1:
-        return Fraction(1, n)
-    tail = sum((Fraction(1, j - 1) for j in range(r, n + 1)), Fraction(0))
-    return Fraction(r - 1, n) * tail
 
 
 def _validate_policy(policy: SecretaryPolicy) -> None:

@@ -273,16 +273,3 @@ def two_region_exact_distribution(m: int, q: int,
 
     return _exact_law(CodedPoolAlgorithm(m, q), pools(), q, lambda _b: response_one,
                       two_region_rank_pattern())
-
-
-def first_q_exact_distribution(q: int) -> OutcomeDistribution:
-    """Exact rank-pattern distribution of the first-q selector on a continuous
-    source whose responses are all 0.
-
-    The q selected values are i.i.d., so every within-output rank order is
-    equally likely.
-    """
-    order_mass = 1.0 / math.factorial(q)
-    return OutcomeDistribution(
-        {tuple((0, rank, 0) for rank in perm): order_mass
-         for perm in itertools.permutations(range(1, q + 1))}, RankPattern())

@@ -15,8 +15,14 @@ import pytest
 
 import poolstream as ps
 from poolstream.cli import run_trials
-from poolstream.secretary import expected_costs, optimal_policy, \
-    success_probability, success_probability_exact
+from poolstream.secretary import expected_costs, optimal_policy, success_probability
+from pool_helpers import (
+    first_q_exact_distribution,
+    pool_bit_learner,
+    run_pool,
+    sample_pool,
+    success_probability_exact,
+)
 
 TRIALS_EQUIV = 200_000
 BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
@@ -264,7 +270,7 @@ def test_criterion_8_counter_identities(utility_batches, rejection_batches):
     rng = ps.trial_rng(803, 0)
     dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
     for _ in range(2_000):
-        record = ps.run_pool(greedy(4, 2), ps.sample_pool(dist, 4, rng), 2)
+        record = run_pool(greedy(4, 2), sample_pool(dist, 4, rng), 2)
         ok = ok and record.n_iter == 4 and record.n_sel == 2
     report(8, ok, "counter identities: nowait m/m, wait q, rejection q, pool m/q")
 
@@ -280,7 +286,7 @@ def test_criterion_9_constructions():
         T = max(1, math.ceil(math.log2(q)))
         hc = ps.hypothesis_class(q, T, q * (1 << T))
         for target in range(1 << q):
-            got, record = ps.pool_bit_learner(hc, hc.complete_pool(target), q)
+            got, record = pool_bit_learner(hc, hc.complete_pool(target), q)
             ok = ok and got == target and record.n_sel == q
     # permutation coding is uniform for sizes 2..4 within 0.01 per bin
     for size in (2, 3, 4):
@@ -305,7 +311,7 @@ def test_criterion_9_constructions():
                                    int(law.prob_one(float(b))))
                     for i, b in enumerate(bases)]
             got = frozenset(int(p.element.base)
-                            for p in ps.run_pool(alg, pool, q).output)
+                            for p in run_pool(alg, pool, q).output)
             ok = ok and got == fixture.expected_output(t)
     report(9, ok, "bit learner exhaustive (q <= 8), permutation coding uniform, "
                   "chain outputs forced (q <= 5)")
@@ -329,7 +335,7 @@ def _chain_with_alphabet(q, n_min):
 
 def test_criterion_10_negative_control():
     exact_pool = ps.exact_pool_distribution(greedy(4, 2), ps.uniform_interval(), 4, 2)
-    exact_first_q = ps.first_q_exact_distribution(2)
+    exact_first_q = first_q_exact_distribution(2)
     tv = ps.tv_distance(exact_pool, exact_first_q)
     report(10, tv > 0.1,
            "first-q selector vs greedy pool distribution has TV > 0.1",

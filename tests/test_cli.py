@@ -53,6 +53,18 @@ class TestSecretaryTable:
         last = rows[-1]
         assert abs(float(last["p_sp"]) - 0.36788) < 0.01
 
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 300])
+    def test_rows_equal_the_csv_writer_path(self, tmp_path, n_max):
+        # The table formats its own rows; they must be the bytes the generic
+        # csv path (_fmt per cell) writes for the same policy_table rows.
+        argv = ["secretary-table", "--n-max", str(n_max)]
+        table, generic = tmp_path / "table.csv", tmp_path / "generic.csv"
+        assert run_cli(argv + ["--out", str(table)]) == 0
+        cfg = cli.resolve_config(cli._build_parser().parse_args(argv))
+        cli._emit(str(generic), cli._meta(cfg), ["n", "threshold", "p_sp"],
+                  ps.policy_table(n_max))
+        assert table.read_bytes() == generic.read_bytes()
+
     def test_horizon_cap(self):
         assert run_cli(["secretary-table", "--n-max", "200000"]) == 1
 

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import poolstream as ps
 from poolstream.core import StreamSource
+from pool_helpers import pool_bit_learner, run_pool
 
 
 def pair(base, tiebreak=0.0, response=0):
@@ -21,6 +24,28 @@ class TestPermutationCoding:
             u = ps.unit_from_permutation(perm)
             assert 0.0 < u <= 1.0
             assert ps.permutation_from_unit(u, size) == perm
+
+    def test_lehmer_index_matches_fraction_reference(self):
+        # The exact-rational sum the integer Lehmer index replaced; both round
+        # the same midpoint once, so the floats must be bit-identical.
+        def reference(perm):
+            size = len(perm)
+            available = list(range(size))
+            value, scale = Fraction(0), Fraction(1)
+            for radix in range(size, 1, -1):
+                digit = available.index(perm[size - radix])
+                available.pop(digit)
+                scale /= radix
+                value += digit * scale
+            return float(value + scale / 2)
+
+        perms = [perm for size in range(1, 9)
+                 for perm in itertools.permutations(range(size))]
+        rng = random.Random(17)
+        perms += [tuple(rng.sample(range(size), size))
+                  for size in range(9, 26) for _ in range(20)]
+        for perm in perms:
+            assert ps.unit_from_permutation(perm) == reference(perm), perm
 
     def test_determinism(self):
         assert (ps.permutation_from_unit(0.37, 4)
@@ -96,7 +121,7 @@ class TestCodedPool:
         m, q = 5, 3
         sigma = (2, 0, 3, 1)
         lows, hi = self.build_good_pool(m, sigma)
-        record = ps.run_pool(ps.CodedPoolAlgorithm(m, q), lows + [hi], q)
+        record = run_pool(ps.CodedPoolAlgorithm(m, q), lows + [hi], q)
         got = [p.element for p in record.output]
         assert got[:2] == [lows[sigma[0]].element, lows[sigma[1]].element]
         assert got[2] == hi.element
@@ -105,30 +130,30 @@ class TestCodedPool:
         m, q = 5, 3
         sigma = (2, 0, 3, 1)
         lows, hi = self.build_good_pool(m, sigma, responses=1)
-        record = ps.run_pool(ps.CodedPoolAlgorithm(m, q), lows + [hi], q)
+        record = run_pool(ps.CodedPoolAlgorithm(m, q), lows + [hi], q)
         got = [p.element for p in record.output]
         assert got[2] == lows[sigma[q - 1]].element
         assert all(e.base <= 1.0 for e in got)
 
     def test_single_round_budget_takes_high(self):
         lows, hi = self.build_good_pool(3, (0, 1))
-        record = ps.run_pool(ps.CodedPoolAlgorithm(3, 1), lows + [hi], 1)
+        record = run_pool(ps.CodedPoolAlgorithm(3, 1), lows + [hi], 1)
         assert record.output[0].element == hi.element
 
     def test_bad_pool_prefers_low_region_ascending(self):
         pool = [pair(0.8), pair(0.3), pair(1.4), pair(1.9)]
-        record = ps.run_pool(ps.CodedPoolAlgorithm(4, 2), pool, 2)
+        record = run_pool(ps.CodedPoolAlgorithm(4, 2), pool, 2)
         assert [p.element.base for p in record.output] == [0.3, 0.8]
 
     def test_bad_pool_falls_back_to_high_region(self):
         pool = [pair(0.8), pair(1.2), pair(1.4), pair(1.9)]
-        record = ps.run_pool(ps.CodedPoolAlgorithm(4, 2), pool, 2)
+        record = run_pool(ps.CodedPoolAlgorithm(4, 2), pool, 2)
         assert [p.element.base for p in record.output] == [1.2, 1.4]
 
     def test_infeasible_split_raises(self):
         pool = [pair(0.2), pair(0.8), pair(1.2), pair(1.9)]
         with pytest.raises(ps.InfeasiblePool):
-            ps.run_pool(ps.CodedPoolAlgorithm(4, 3), pool, 3)
+            run_pool(ps.CodedPoolAlgorithm(4, 3), pool, 3)
 
 
 class TestChainFixture:
@@ -175,7 +200,7 @@ class TestChainFixture:
             pool = [pair(float(b), tiebreak=(i + 1) / 50,
                          response=int(dist.prob_one(float(b))))
                     for i, b in enumerate(bases)]
-            record = ps.run_pool(alg, pool, q)
+            record = run_pool(alg, pool, q)
             got = frozenset(int(p.element.base) for p in record.output)
             assert got == fixture.expected_output(t)
             # revealed responses follow the law: 1 exactly on symbol t
@@ -248,19 +273,19 @@ class TestBitLearner:
         hc = ps.hypothesis_class(q, T, q * (1 << T))
         for target in range(1 << q):
             pool = hc.complete_pool(target)
-            got, record = ps.pool_bit_learner(hc, pool, q)
+            got, record = pool_bit_learner(hc, pool, q)
             assert got == target
             assert record.n_sel == q
 
     def test_single_bit(self):
         hc = ps.hypothesis_class(1, 1, 2)
         for target in (0, 1):
-            got, _ = ps.pool_bit_learner(hc, hc.complete_pool(target), 1)
+            got, _ = pool_bit_learner(hc, hc.complete_pool(target), 1)
             assert got == target
 
     def test_traced_example(self):
         hc = ps.hypothesis_class(3, 2, 8)
-        got, record = ps.pool_bit_learner(hc, hc.complete_pool(5), 3)
+        got, record = pool_bit_learner(hc, hc.complete_pool(5), 3)
         assert got == 5
         queried = [hc.base_to_kj[p.element.base] for p in record.output]
         assert queried == [(1, 0), (2, 1), (3, 0)]
@@ -270,16 +295,16 @@ class TestBitLearner:
         pool = [p for p in hc.complete_pool(5)
                 if hc.base_to_kj.get(p.element.base, (0, 0))[0] != 2]
         with pytest.raises(ps.IncompletePool):
-            ps.pool_bit_learner(hc, pool, 3)
+            pool_bit_learner(hc, pool, 3)
 
     def test_permutation_invariance_on_query_path(self):
         hc = ps.hypothesis_class(3, 2, 8)
         for target in range(8):
             # all five chain elements, so every query path is available
             needed = hc.complete_pool(target)[:5]
-            base_run = ps.run_pool(ps.BitIdentificationPool(hc, 5), needed, 3)
+            base_run = run_pool(ps.BitIdentificationPool(hc, 5), needed, 3)
             reference = sorted(base_run.output)
             for perm in itertools.permutations(range(5)):
                 shuffled = [needed[i] for i in perm]
-                record = ps.run_pool(ps.BitIdentificationPool(hc, 5), shuffled, 3)
+                record = run_pool(ps.BitIdentificationPool(hc, 5), shuffled, 3)
                 assert sorted(record.output) == reference

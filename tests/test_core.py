@@ -15,6 +15,7 @@ from hypothesis import example, given, strategies as st
 import poolstream as ps
 from poolstream import cli
 from poolstream.core import StreamSource
+from pool_helpers import point_mass, run_pool, sample_pool
 
 
 def greedy(m, q, **kw):
@@ -91,7 +92,7 @@ class TestDistributions:
 
 class TestSampling:
     def test_point_mass_is_deterministic(self):
-        src = StreamSource(ps.point_mass(7.0), ps.trial_rng(0, 0))
+        src = StreamSource(point_mass(7.0), ps.trial_rng(0, 0))
         element = src.next()
         assert type(element) is ps.Element and element == ps.Element(7.0, 0.0)
         assert src.reveal(element) == 0
@@ -124,7 +125,7 @@ class TestSampling:
 class TestPoolProtocol:
     def test_budget_equals_pool_returns_everything(self):
         pool = [ps.LabeledPair(ps.Element(float(i), 0.0), i % 2) for i in range(3)]
-        record = ps.run_pool(greedy(3, 3), pool, 3)
+        record = run_pool(greedy(3, 3), pool, 3)
         assert sorted(record.output) == sorted(pool)
         # greedy exhausts the pool in score-descending order
         assert [p.element.base for p in record.output] == [2.0, 1.0, 0.0]
@@ -132,7 +133,7 @@ class TestPoolProtocol:
 
     def test_greedy_selection_order(self):
         pool = [ps.LabeledPair(ps.Element(b, 0.0), 0) for b in (0.1, 0.7, 0.4)]
-        record = ps.run_pool(greedy(3, 2), pool, 2)
+        record = run_pool(greedy(3, 2), pool, 2)
         assert [p.element.base for p in record.output] == [0.7, 0.4]
 
     def test_out_of_range_index_is_contract_violation(self):
@@ -145,7 +146,7 @@ class TestPoolProtocol:
 
         pool = [ps.LabeledPair(ps.Element(0.0, 0.0), 0)] * 2
         with pytest.raises(ps.ContractViolation):
-            ps.run_pool(Bad(), pool, 1)
+            run_pool(Bad(), pool, 1)
 
     def test_repeated_index_is_contract_violation(self):
         class Stuck(ps.PoolAlgorithm):
@@ -157,7 +158,7 @@ class TestPoolProtocol:
 
         pool = [ps.LabeledPair(ps.Element(float(i), 0.0), 0) for i in range(2)]
         with pytest.raises(ps.ContractViolation):
-            ps.run_pool(Stuck(), pool, 2)
+            run_pool(Stuck(), pool, 2)
 
     def test_bool_index_is_contract_violation(self):
         # True == 1, so an isinstance(idx, int) check would select index 1.
@@ -170,12 +171,12 @@ class TestPoolProtocol:
 
         pool = [ps.LabeledPair(ps.Element(float(i), 0.0), 0) for i in range(2)]
         with pytest.raises(ps.ContractViolation, match="True"):
-            ps.run_pool(Truthy(), pool, 1)
+            run_pool(Truthy(), pool, 1)
 
     def test_budget_above_pool_size_rejected(self):
         pool = [ps.LabeledPair(ps.Element(0.0, 0.0), 0)]
         with pytest.raises(ValueError):
-            ps.run_pool(greedy(1, 2), pool, 2)
+            run_pool(greedy(1, 2), pool, 2)
 
 
 def pool_fixtures():
@@ -196,11 +197,11 @@ def test_permutation_invariance(name, alg, dist):
     # permuting the pool must not change the selected value multiset.
     rng = ps.trial_rng(6, 0)
     for _ in range(40):
-        pool = ps.sample_pool(dist, 4, rng)
-        reference = sorted(p.element for p in ps.run_pool(alg, pool, alg.q).output)
+        pool = sample_pool(dist, 4, rng)
+        reference = sorted(p.element for p in run_pool(alg, pool, alg.q).output)
         for perm in itertools.permutations(range(4)):
             shuffled = [pool[i] for i in perm]
-            got = sorted(p.element for p in ps.run_pool(alg, shuffled, alg.q).output)
+            got = sorted(p.element for p in run_pool(alg, shuffled, alg.q).output)
             assert got == reference
 
 
@@ -265,7 +266,7 @@ class TestStreamProtocol:
     def test_equal_copy_of_the_latest_element_is_contract_violation(self):
         # Under a point mass every draw is equal, yet each is its own
         # element: reveal goes by identity, not by value.
-        src = StreamSource(ps.point_mass(3.0), ps.trial_rng(13, 0))
+        src = StreamSource(point_mass(3.0), ps.trial_rng(13, 0))
         first, second = src.next(), src.next()
         assert first == second and first is not second
         with pytest.raises(ps.ContractViolation):
@@ -327,6 +328,18 @@ class TestTrialRng:
     def test_negative_inputs_raise(self, seed, trial):
         with pytest.raises(ValueError):
             ps.trial_rng(seed, trial)
+
+    def test_trial_seed_hands_out_only_four_uint64_words(self):
+        seed_seq = ps.trial_rng(3, 7).bit_generator.seed_seq
+        words = seed_seq.generate_state(4, np.uint64)
+        assert words.dtype == np.uint64 and words.shape == (4,)
+        for dtype in ("uint64", np.dtype("uint64")):
+            assert seed_seq.generate_state(4, dtype) is words
+        for n_words, dtype in ((8, np.uint64), (4, np.uint32), (4, "uint32"), (4, None)):
+            with pytest.raises(ValueError, match="four uint64 words"):
+                seed_seq.generate_state(n_words, dtype)
+        with pytest.raises(ValueError, match="four uint64 words"):
+            seed_seq.generate_state(4)  # SeedSequence's default dtype is uint32
 
     def test_pickled_generator_continues_the_stream(self):
         rng = ps.trial_rng(14, 3)
@@ -392,7 +405,7 @@ DECODER_SOURCES = {
     "interval-callable": ps.uniform_interval(2.0, 5.0,
                                              response_one=lambda b: (b - 2.0) / 3.0),
     "discrete-callable": ps.hypothesis_class(3, 2, 12).source(5),
-    "point-mass": ps.point_mass(7.0, response_one=0.5),
+    "point-mass": point_mass(7.0, response_one=0.5),
     "int-symbols-mapping": ps.SourceDistribution(
         ps.DiscreteMarginal((0, 1, 2), (0.25, 0.25, 0.5)), {1: 0.9, 2: 0.4},
         atomless=True),
@@ -557,7 +570,8 @@ def test_import_secretary_table_and_exact_laws_skip_numpy(tmp_path):
         f"assert cli.main(['secretary-table', '--n-max', '300', '--out', {str(out)!r}]) == 0\n"
         "for name in ('greedy-max', 'greedy-max-discrete', 'thm3-good-pool'):\n"
         "    cli.build_fixture(name, 4, 2).exact()\n"
-        "print('numpy' in sys.modules)") == "False"
+        "print(*(name in sys.modules for name in ('numpy', 'fractions', 'decimal')))"
+    ) == "False False False"
     assert len(out.read_text().splitlines()) > 300
 
 

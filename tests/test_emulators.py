@@ -7,6 +7,7 @@ import pytest
 
 import poolstream as ps
 from poolstream.cli import run_trials
+from pool_helpers import point_mass, run_pool
 
 BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
 
@@ -58,7 +59,7 @@ class TestWaitEmulator:
         # arrival matches, so every run costs exactly two observations.
         emulator = ps.WaitEmulator(greedy(1, 1, tie_break="index"))
         for t in range(200):
-            record = ps.run_stream(emulator, ps.point_mass(3.0), 1,
+            record = ps.run_stream(emulator, point_mass(3.0), 1,
                                    ps.trial_rng(20, t))
             assert record.n_iter == 2
             assert record.n_sel == 1
@@ -256,9 +257,9 @@ class TestTies:
     def test_duplicate_values_raise_without_tiebreak(self):
         pool = [ps.LabeledPair(ps.Element(1.0, 0.0), 0)] * 2
         with pytest.raises(ps.TieDetected):
-            ps.run_pool(greedy(2, 1), pool, 1)
+            run_pool(greedy(2, 1), pool, 1)
 
     def test_index_tie_break_is_allowed(self):
         pool = [ps.LabeledPair(ps.Element(1.0, 0.0), i) for i in range(2)]
-        record = ps.run_pool(greedy(2, 2, tie_break="index"), pool, 2)
+        record = run_pool(greedy(2, 2, tie_break="index"), pool, 2)
         assert [p.response for p in record.output] == [0, 1]

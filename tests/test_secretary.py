@@ -16,8 +16,8 @@ from poolstream.secretary import (
     policy_table,
     secpr,
     success_probability,
-    success_probability_exact,
 )
+from pool_helpers import success_probability_exact
 
 
 def simulate_threshold_rule(ranks, threshold):

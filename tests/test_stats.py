@@ -11,6 +11,7 @@ import poolstream as ps
 from poolstream.cli import build_fixture, run_trials
 from poolstream.core import ContractViolation
 from poolstream.stats import InsufficientSamples, TooLargeToEnumerate
+from pool_helpers import first_q_exact_distribution, run_pool
 
 
 def pair(base, tiebreak=0.0, response=0):
@@ -176,7 +177,7 @@ class TestExactPoolDistribution:
                 continue
             pool = [pair(float(s), tiebreak=(i + 1) / 10)
                     for i, s in enumerate(combo)]
-            record = ps.run_pool(alg, pool, 2)
+            record = run_pool(alg, pool, 2)
             assert ps.DiscreteProjection()(record) == target
 
     def test_discrete_budget_guard(self):
@@ -259,7 +260,7 @@ class TestTwoRegionExact:
 
 class TestFirstQExact:
     def test_two_picks(self):
-        out = ps.first_q_exact_distribution(2)
+        out = first_q_exact_distribution(2)
         assert out.support == {
             ((0, 1, 0), (0, 2, 0)): pytest.approx(0.5),
             ((0, 2, 0), (0, 1, 0)): pytest.approx(0.5),
@@ -272,7 +273,7 @@ class TestFirstQExact:
             ps.RankPattern())
         assert not failures
         assert empirical.trials == 20000
-        exact = ps.first_q_exact_distribution(3)
+        exact = first_q_exact_distribution(3)
         assert ps.tv_distance(exact, empirical) <= 0.03
 
 
