@@ -25,8 +25,7 @@ import math
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .core import (
     DEFAULT_MAX_ITER,
@@ -78,8 +77,7 @@ def base_utility(element: Element, history) -> float:
     return element.base
 
 
-@dataclass
-class Fixture:
+class Fixture(NamedTuple):
     """A pool algorithm, its source law, and its exact law (which carries its projection)."""
 
     name: str
@@ -428,6 +426,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         return cfg
     if not 0 <= cfg["seed"] < 2**64:
         raise ValueError("seed must fit in 64 bits")
+    if cfg["q"] < 1:  # once, before any fixture is built
+        raise ValueError("q must be at least 1")
     grid = cfg["m_grid"] if args.subcommand == "lowerbound-demo" else None
     for m in grid or [cfg["m"]]:
         if cfg["q"] > m:

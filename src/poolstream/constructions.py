@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     DiscreteMarginal,
@@ -210,8 +210,7 @@ class ChainUtility:
         return float(self.n - symbol)
 
 
-@dataclass(frozen=True)
-class ChainFixture:
+class ChainFixture(NamedTuple):
     """Chain utility plus its response-law family over a uniform alphabet.
 
     ``dists[0]`` responds 0 everywhere; ``dists[t]`` responds 1 exactly on
@@ -237,12 +236,12 @@ class ChainFixture:
 def chain_fixture(m: int, q: int) -> ChainFixture:
     """Build the chain fixture with alphabet size n = floor(m / (2 ln 2q)).
 
-    Requires m >= 8 and q <= m/2, and n >= q so that every response law in
-    the family targets an existing symbol.  Verifying the forced output sets
-    for t >= 1 additionally needs n >= 2q - 1; pick m accordingly.
+    Requires m >= 8 and 1 <= q <= m/2, and n >= q so that every response law
+    in the family targets an existing symbol.  Verifying the forced output
+    sets for t >= 1 additionally needs n >= 2q - 1; pick m accordingly.
     """
-    if m < 8 or 2 * q > m:
-        raise InvalidRegime(f"need m >= 8 and q <= m/2, got m={m}, q={q}")
+    if m < 8 or not 1 <= q <= m / 2:
+        raise InvalidRegime(f"need m >= 8 and 1 <= q <= m/2, got m={m}, q={q}")
     n = int(m / (2.0 * math.log(2.0 * q)))
     if n < q:
         raise InvalidRegime(
@@ -262,8 +261,7 @@ def chain_fixture(m: int, q: int) -> ChainFixture:
 # Bit-indexed hypothesis class and its pool learner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisClass:
+class HypothesisClass(NamedTuple):
     """2^q hypotheses over chain elements indexed by (level k, window j).
 
     Element (k, j) exists for k in 1..q and j in 0..2^(min(k, T)-1)-1, plus

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple, Union
@@ -103,70 +102,73 @@ History = Sequence[LabeledPair]
 ResponseLawLike = Union[float, Mapping, Callable[[float], float]]
 
 
-@dataclass(frozen=True)
-class DiscreteMarginal:
+# The three checked records subclass a functional NamedTuple, because a
+# NamedTuple class body may not define the ``__new__`` that checks them.
+class DiscreteMarginal(NamedTuple("DiscreteMarginal", [("symbols", tuple[float, ...]),
+                                                      ("probs", tuple[float, ...])])):
     """Finite-support base marginal: symbols with a probability vector."""
 
-    symbols: tuple[float, ...]
-    probs: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.symbols) != len(self.probs) or not self.symbols:
+    def __new__(cls, symbols: tuple[float, ...], probs: tuple[float, ...]):
+        if len(symbols) != len(probs) or not symbols:
             raise ValueError("symbols and probs must be equal-length and non-empty")
         # Written so that NaN fails them: every comparison with NaN is False.
-        if not all(p >= 0 for p in self.probs):
+        if not all(p >= 0 for p in probs):
             raise ValueError("negative or NaN probability")
-        if not abs(sum(self.probs) - 1.0) <= _PROB_TOL:
-            raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
-        if len(set(self.symbols)) != len(self.symbols):
+        if not abs(sum(probs) - 1.0) <= _PROB_TOL:
+            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
+        if len(set(symbols)) != len(symbols):
             raise ValueError("duplicate symbols")
+        return super().__new__(cls, symbols, probs)
 
 
-@dataclass(frozen=True)
-class IntervalMarginal:
+class IntervalMarginal(NamedTuple("IntervalMarginal",
+                                  [("pieces", tuple[tuple[float, float, float], ...])])):
     """Piecewise-uniform base marginal over disjoint real intervals."""
 
-    pieces: tuple[tuple[float, float, float], ...]  # (lo, hi, mass)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.pieces:
+    def __new__(cls, pieces: tuple[tuple[float, float, float], ...]):  # (lo, hi, mass)
+        if not pieces:
             raise ValueError("at least one piece required")
-        for lo, hi, mass in self.pieces:
+        for lo, hi, mass in pieces:
             if not -math.inf < lo < hi < math.inf:  # also false for NaN
                 raise ValueError(f"empty or unbounded piece [{lo}, {hi}]")
             if not mass >= 0:
                 raise ValueError("negative or NaN mass")
-        if not abs(sum(p[2] for p in self.pieces) - 1.0) <= _PROB_TOL:
+        if not abs(sum(p[2] for p in pieces) - 1.0) <= _PROB_TOL:
             raise ValueError("piece masses must sum to 1")
+        return super().__new__(cls, pieces)
 
 
-@dataclass(frozen=True)
-class SourceDistribution:
+class SourceDistribution(NamedTuple("SourceDistribution", [
+        ("marginal", Union[DiscreteMarginal, IntervalMarginal]),
+        ("response_one", ResponseLawLike), ("atomless", bool)])):
     """Joint law of (element, response) pairs drawn i.i.d. by a source.
 
     ``response_one`` gives P[response = 1 | base] as a constant, a mapping from
     base symbol (missing keys mean 0), or a callable; all but a callable are
     checked up front to lie in [0, 1], and a callable's value each time it is
     used.  ``atomless`` controls the tie-break augmentation: when set, no
-    single element value has positive probability.
+    single element value has positive probability.  Unlike the other records
+    it has an instance dict, which holds the two cached decode plans.
     """
 
-    marginal: DiscreteMarginal | IntervalMarginal
-    response_one: ResponseLawLike = 0.0
-    atomless: bool = False
-
-    def __post_init__(self):
-        law = self.response_one
+    def __new__(cls, marginal: DiscreteMarginal | IntervalMarginal,
+                response_one: ResponseLawLike = 0.0, atomless: bool = False):
+        law = response_one
         if isinstance(law, (int, float, Mapping)):
             for p in law.values() if isinstance(law, Mapping) else (law,):
                 if not 0.0 <= float(p) <= 1.0:
                     raise ValueError(f"response probability {p} outside [0, 1]")
         elif not callable(law):
             raise TypeError(f"response law is no number, mapping or callable: {law!r}")
+        return super().__new__(cls, marginal, response_one, atomless)
 
-    def __getstate__(self) -> dict:
+    def __getstate__(self) -> None:
         # Fields only: the cached decode plans hold closures and are rebuilt on use.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return None
 
     @property
     def is_discrete(self) -> bool:

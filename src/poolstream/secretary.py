@@ -16,8 +16,8 @@ Both the threshold and the probability converge to 1/e as n grows.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class InvalidHorizon(ValueError):
@@ -28,8 +28,7 @@ class DuplicateScore(ValueError):
     """The no-ties assumption was violated by an observed score sequence."""
 
 
-@dataclass(frozen=True)
-class SecretaryPolicy:
+class SecretaryPolicy(NamedTuple):
     """Observe candidates 1..threshold-1, then select the first running maximum."""
 
     n: int

@@ -23,8 +23,7 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import (
     DiscreteMarginal,
@@ -57,8 +56,7 @@ def _pairs_of(run: PairsLike) -> Sequence[LabeledPair]:
     return run.output if isinstance(run, RunRecord) else run
 
 
-@dataclass(frozen=True)
-class DiscreteProjection:
+class DiscreteProjection(NamedTuple):
     """Canonical outcome: sorted (base, response) multiset, tiebreaks dropped."""
 
     def __call__(self, run: PairsLike) -> Outcome:
@@ -66,8 +64,7 @@ class DiscreteProjection:
         return tuple(sorted((p.element.base, p.response) for p in pairs))
 
 
-@dataclass(frozen=True)
-class RankPattern:
+class RankPattern(NamedTuple):
     """Canonical outcome for real bases: (bucket, within-output rank, response)
     per selection, in selection order.  Ranks count from 1 upward by value."""
 
@@ -89,8 +86,7 @@ class RankPattern:
 Canonicalizer = Union[DiscreteProjection, RankPattern]
 
 
-@dataclass
-class OutcomeDistribution:
+class OutcomeDistribution(NamedTuple):
     """Probability mass over canonical outcomes, exact or empirical, and the
     canonicalizer that projected them: the exact law picks it, an empirical
     batch reuses it, and :func:`tv_distance` compares only equal ones."""
@@ -106,8 +102,7 @@ class OutcomeDistribution:
         return sum(self.support.values())
 
 
-@dataclass(frozen=True)
-class MeanEstimate:
+class MeanEstimate(NamedTuple):
     """Sample mean with a 95% normal-approximation half-width."""
 
     mean: float

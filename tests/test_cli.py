@@ -315,7 +315,8 @@ class TestConfigAndErrors:
         (["--q", "5"], "q=5 exceeds m=4"),
         (["--trials", "0"], "trials must be positive"),
         (["--seed", str(2**64)], "seed must fit in 64 bits"),
-    ], ids=["q-above-m", "zero-trials", "seed-beyond-64-bits"])
+        (["--q", "0"], "q must be at least 1"),
+    ], ids=["q-above-m", "zero-trials", "seed-beyond-64-bits", "q-below-one"])
     def test_trial_options_are_checked_where_read(self, tmp_path, capsys, option, message):
         # secretary-table reads neither the seed, the trials nor m and q.
         out = tmp_path / "table.csv"
@@ -324,6 +325,15 @@ class TestConfigAndErrors:
         for command in ("equiv-test", "iter-bench", "lowerbound-demo"):
             assert run_cli([command, "--fixture", "thm6-chain", *option]) == 1
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["equiv-test", "--fixture", "thm6-chain", "--m", "8", "--q", "-1"],
+        ["lowerbound-demo", "--fixture", "thm6-chain", "--q", "0", "--m-grid", "8"],
+        ["iter-bench", "--fixture", "ex1-hypotheses", "--m", "60", "--q", "0"],
+    ], ids=["equiv-test", "lowerbound-demo", "iter-bench"])
+    def test_budget_below_one_is_refused_before_any_fixture(self, capsys, args):
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err == "error: q must be at least 1\n"
 
     def test_wait_on_atomless_fixture_is_error(self):
         assert run_cli(["equiv-test", "--fixture", "greedy-max", "--emulator",
@@ -478,12 +488,14 @@ class TestMemoryIsFlat:
 
 def test_used_source_pickles_and_replays_its_stream():
     # Decoding caches closures on the source; pickling drops and rebuilds them.
-    for name, emulator_name in (("greedy-max-discrete", "gen"), ("ex1-hypotheses", "wait")):
-        fixture = cli.build_fixture(name, 4, 2)
-        emulator = cli.build_emulator(emulator_name, fixture)
+    plans = {"sampling_table", "prob_one"}
+    for name in cli.FIXTURE_NAMES:
+        fixture = cli.build_fixture(name, 8, 2)
+        emulator = cli.build_emulator("gen" if fixture.dist.atomless else "wait", fixture)
         record = ps.run_stream(emulator, fixture.dist, 2, ps.trial_rng(5, 0))
+        assert plans <= vars(fixture.dist).keys()
         copy = pickle.loads(pickle.dumps(fixture.dist))
-        assert copy == fixture.dist
+        assert copy == fixture.dist and not plans & vars(copy).keys()
         assert ps.run_stream(emulator, copy, 2, ps.trial_rng(5, 0)) == record
 
 

@@ -169,6 +169,11 @@ class TestChainFixture:
         with pytest.raises(ps.InvalidRegime):
             ps.chain_fixture(8, 4)  # alphabet would be smaller than the budget
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_budget_below_one_is_out_of_regime(self, q):
+        with pytest.raises(ps.InvalidRegime, match="1 <= q"):
+            ps.chain_fixture(8, q)
+
     def test_response_law_family(self):
         fixture = ps.chain_fixture(12, 2)
         assert fixture.dists[0].prob_one(1.0) == 0.0

@@ -564,14 +564,17 @@ def run_fresh(code):
 
 
 def test_import_secretary_table_and_exact_laws_skip_numpy(tmp_path):
+    # Records are NamedTuples, so neither dataclasses nor the inspect it
+    # imports loads either.
     out = tmp_path / "table.csv"
     assert run_fresh(
         "import sys, poolstream, poolstream.cli as cli\n"
         f"assert cli.main(['secretary-table', '--n-max', '300', '--out', {str(out)!r}]) == 0\n"
         "for name in ('greedy-max', 'greedy-max-discrete', 'thm3-good-pool'):\n"
         "    cli.build_fixture(name, 4, 2).exact()\n"
-        "print(*(name in sys.modules for name in ('numpy', 'fractions', 'decimal')))"
-    ) == "False False False"
+        "print(*(name in sys.modules for name in\n"
+        "        ('numpy', 'fractions', 'decimal', 'dataclasses', 'inspect')))"
+    ) == "False False False False False"
     assert len(out.read_text().splitlines()) > 300
 
 
@@ -584,3 +587,43 @@ def test_first_trial_loads_numpy(tmp_path):
         f"cli.main(['equiv-test', '--trials', '2', '--out', {str(out)!r}])\n"
         "print('numpy' in sys.modules)").split() == ["False", "True"]
     assert out.exists()
+
+
+# A sample of each record type: its maker, a field to assign, and its repr.
+RECORD_SAMPLES = [
+    (lambda: ps.DiscreteMarginal((0.0, 1.0), (0.5, 0.5)), "probs",
+     "DiscreteMarginal(symbols=(0.0, 1.0), probs=(0.5, 0.5))"),
+    (lambda: ps.IntervalMarginal(((0.0, 1.0, 1.0),)), "pieces",
+     "IntervalMarginal(pieces=((0.0, 1.0, 1.0),))"),
+    (lambda: ps.uniform_symbols(2, atomless=True, response_one={1.0: 0.5}), "atomless",
+     "SourceDistribution(marginal=DiscreteMarginal(symbols=(0.0, 1.0), probs=(0.5, 0.5)), "
+     "response_one={1.0: 0.5}, atomless=True)"),
+    (ps.DiscreteProjection, "bucket", "DiscreteProjection()"),
+    (ps.RankPattern, "bucket", "RankPattern(bucket=None)"),
+    (lambda: ps.OutcomeDistribution({((1.0, 0),): 1.0}, ps.DiscreteProjection(), 50),
+     "trials",
+     "OutcomeDistribution(support={((1.0, 0),): 1.0}, projection=DiscreteProjection(), "
+     "trials=50)"),
+    (lambda: ps.MeanEstimate(1.5, 0.25, 10), "mean",
+     "MeanEstimate(mean=1.5, half_width=0.25, trials=10)"),
+    (lambda: ps.ChainFixture(None, (), 8, 2, 2), "q",
+     "ChainFixture(utility=None, dists=(), m=8, q=2, n=2)"),
+    (lambda: ps.hypothesis_class(1, 1, 1), "T",
+     "HypothesisClass(q=1, T=1, n=1, kj_to_base={(1, 0): 0.0}, base_to_kj={0.0: (1, 0)})"),
+    (lambda: ps.SecretaryPolicy(10, 4), "threshold", "SecretaryPolicy(n=10, threshold=4)"),
+    (lambda: cli.Fixture("greedy-max", 4, 2, ps.uniform_interval(), None, None), "dist",
+     "Fixture(name='greedy-max', m=4, q=2, dist=SourceDistribution(marginal=IntervalMarginal("
+     "pieces=((0.0, 1.0, 1.0),)), response_one=0.0, atomless=True), pool_alg=None, "
+     "exact=None, utility=None)"),
+]
+
+
+@pytest.mark.parametrize("make,field,text", RECORD_SAMPLES,
+                         ids=[r[2].split("(")[0] for r in RECORD_SAMPLES])
+def test_record_keeps_its_repr_and_refuses_assignment(make, field, text):
+    record = make()
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    # A record is a tuple of its fields, and compares as one.
+    assert record == tuple(record) and record == eval(text, vars(ps) | vars(cli))
