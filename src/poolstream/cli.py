@@ -428,6 +428,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ValueError("seed must fit in 64 bits")
     if cfg["q"] < 1:  # once, before any fixture is built
         raise ValueError("q must be at least 1")
+    if args.subcommand == "equiv-test" and not 0 <= cfg["tv_threshold"] <= 1:  # NaN too
+        raise ValueError("tv_threshold must lie in [0, 1]")
     grid = cfg["m_grid"] if args.subcommand == "lowerbound-demo" else None
     for m in grid or [cfg["m"]]:
         if cfg["q"] > m:

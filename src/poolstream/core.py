@@ -3,8 +3,9 @@
 An interactive run selects ``q`` elements and reveals their responses.  In the
 pool protocol the algorithm sees all ``m`` candidate elements up front and picks
 one index per round.  In the stream protocol elements arrive one at a time from
-an i.i.d. source and must be selected (or passed) immediately.  Both protocols
-are driven here, with uniform accounting of
+an i.i.d. source and must be selected (or passed) immediately; the one maker of
+a revealed pair is :meth:`StreamSource.reveal`, which logs it and returns it.
+Both protocols are driven here, with uniform accounting of
 
 * ``n_sel``  -- responses revealed, including selections later discarded,
 * ``n_iter`` -- elements observed, including unselected ones.
@@ -35,7 +36,7 @@ class ContractViolation(EmulationError):
     """A protocol rule was broken: a pool algorithm returned an index that is
     not an int, out of range or already selected, or an emulator revealed an
     element other than the one just observed (an earlier one, or the same one
-    twice) or returned the wrong number of pairs."""
+    twice), returned the wrong number of pairs or revealed fewer than q."""
 
 
 class AtomlessDistribution(EmulationError):
@@ -90,7 +91,8 @@ class LabeledPair(NamedTuple):
     Inside a sealed pool the response holds the pre-sampled truth and must
     only be read through the pool protocol; in a history it has been
     revealed.  A stream hands out bare elements: ``StreamSource.reveal``
-    returns the response of the element just observed, and no other.
+    unseals the element just observed, and no other, and returns the pair it
+    logs, the very object a stream emulator puts in its output.
     """
 
     element: Element
@@ -104,11 +106,15 @@ ResponseLawLike = Union[float, Mapping, Callable[[float], float]]
 
 # The three checked records subclass a functional NamedTuple, because a
 # NamedTuple class body may not define the ``__new__`` that checks them.
+# The inherited ``_make``, which ``_replace`` calls too, would skip it.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
 class DiscreteMarginal(NamedTuple("DiscreteMarginal", [("symbols", tuple[float, ...]),
                                                       ("probs", tuple[float, ...])])):
     """Finite-support base marginal: symbols with a probability vector."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, symbols: tuple[float, ...], probs: tuple[float, ...]):
         if len(symbols) != len(probs) or not symbols:
@@ -128,6 +134,7 @@ class IntervalMarginal(NamedTuple("IntervalMarginal",
     """Piecewise-uniform base marginal over disjoint real intervals."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, pieces: tuple[tuple[float, float, float], ...]):  # (lo, hi, mass)
         if not pieces:
@@ -154,6 +161,8 @@ class SourceDistribution(NamedTuple("SourceDistribution", [
     single element value has positive probability.  Unlike the other records
     it has an instance dict, which holds the two cached decode plans.
     """
+
+    _make = _checked_make
 
     def __new__(cls, marginal: DiscreteMarginal | IntervalMarginal,
                 response_one: ResponseLawLike = 0.0, atomless: bool = False):
@@ -380,7 +389,8 @@ class StreamSource:
     single point where a response becomes visible is :meth:`reveal`, which
     increments ``n_sel`` and unseals only the element the latest
     :meth:`next` returned, and that once: a stream algorithm can select an
-    element only immediately after observing it.
+    element only immediately after observing it.  It returns the revealed
+    :class:`LabeledPair`, the same object it appends to :attr:`revealed`.
 
     Every pair is decoded by one plan, the source's
     :attr:`SourceDistribution.sampling_table`: the same number of
@@ -455,8 +465,9 @@ class StreamSource:
         self._last = element = _new(Element, (base, tiebreak))
         return element
 
-    def reveal(self, element: Element) -> int:
-        """Unseal the just observed element's response, counting it toward ``n_sel``.
+    def reveal(self, element: Element) -> LabeledPair:
+        """Unseal the just observed element's response, counting it toward
+        ``n_sel``, and return the pair it logs.
 
         Only the element the latest :meth:`next` returned may be revealed,
         and only once.  Elements are told apart by identity: under a source
@@ -471,8 +482,8 @@ class StreamSource:
         # The pair's last uniform.  Under a constant 0 or 1 law the pair has
         # no response uniform, but any uniform in [0, 1) gives that constant.
         response = int(self._uniforms[self._pos - 1] < self._prob_one(element.base))
-        self._revealed.append(_new(LabeledPair, (element, response)))
-        return response
+        self._revealed.append(pair := _new(LabeledPair, (element, response)))
+        return pair
 
     @property
     def revealed(self) -> tuple[LabeledPair, ...]:
@@ -515,7 +526,7 @@ class PoolAlgorithm:
 
 
 class StreamEmulator:
-    """Contract for stream algorithms: consume a source, return q revealed pairs."""
+    """Contract for stream algorithms: consume a source, return q pairs its reveal returned."""
 
     def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
         raise NotImplementedError
@@ -552,7 +563,9 @@ def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
     """Drive a stream emulator against a lazily sampled i.i.d. source.
 
     Raises :class:`IterationCapExceeded` if the emulator would observe more
-    than ``max_iter`` elements; the cap applies to the whole run.
+    than ``max_iter`` elements; the cap applies to the whole run, and
+    :class:`ContractViolation` if it returns other than q pairs or revealed
+    fewer than q.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -560,5 +573,8 @@ def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
     output = emulator.run(source, q)
     if len(output) != q:
         raise ContractViolation(f"emulator returned {len(output)} pairs, expected {q}")
+    if source.n_sel < q:
+        raise ContractViolation(f"emulator revealed {source.n_sel} responses, "
+                                f"fewer than q={q}")
     return _new(RunRecord, (tuple(output), source.n_sel, source.n_iter,
                             source.round_attempts))

@@ -36,7 +36,6 @@ from .core import (
     StreamSource,
     TieDetected,
     _checked_select,
-    _new,
     interact_pool,
 )
 from .secretary import cached_policy
@@ -87,11 +86,7 @@ class FirstQEmulator(StreamEmulator):
     """Select the first q stream elements unconditionally (negative control)."""
 
     def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
-        out = []
-        for _ in range(q):
-            element = source.next()
-            out.append(_new(LabeledPair, (element, source.reveal(element))))
-        return tuple(out)
+        return tuple([source.reveal(source.next()) for _ in range(q)])
 
 
 class WaitEmulator(StreamEmulator):
@@ -122,7 +117,7 @@ class WaitEmulator(StreamEmulator):
                 if element == target:
                     break
             selected.add(idx)
-            history.append(_new(LabeledPair, (element, source.reveal(element))))
+            history.append(source.reveal(element))
         return tuple(history)
 
 
@@ -133,10 +128,7 @@ class NowaitEmulator(StreamEmulator):
         self.pool_alg = pool_alg
 
     def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
-        pool = []
-        for _ in range(self.pool_alg.m):
-            element = source.next()
-            pool.append(_new(LabeledPair, (element, source.reveal(element))))
+        pool = [source.reveal(source.next()) for _ in range(self.pool_alg.m)]
         return tuple(interact_pool(self.pool_alg, pool, q))
 
 
@@ -178,7 +170,7 @@ class RejectionEmulator(StreamEmulator):
                     break
             # The last draw, just observed, is the one the replay selected.
             element = elements[k] = elements[m - 1]
-            committed.append(_new(LabeledPair, (element, source.reveal(element))))
+            committed.append(source.reveal(element))
         return tuple(committed)
 
     def _replay_accepts(self, committed: list[LabeledPair],
@@ -262,7 +254,7 @@ class SecretaryEmulator(StreamEmulator):
                             or score == best and element.tiebreak > best_tb):
                         best, best_tb = score, element.tiebreak
                         if chosen is None and j >= threshold:
-                            chosen = _new(LabeledPair, (element, source.reveal(element)))
+                            chosen = source.reveal(element)
                             chosen_key = (score, best_tb)
                 if chosen is not None and chosen_key == (best, best_tb):
                     break

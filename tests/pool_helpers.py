@@ -33,9 +33,7 @@ def point_mass(symbol: float, *, response_one: ResponseLawLike = 0.0) -> SourceD
 def sample_pool(dist: SourceDistribution, m: int, rng) -> list[LabeledPair]:
     """Draw an i.i.d. pool of ``m`` pairs through a private :class:`StreamSource`."""
     source = StreamSource(dist, rng)
-    for _ in range(m):
-        source.reveal(source.next())
-    return list(source.revealed)
+    return [source.reveal(source.next()) for _ in range(m)]
 
 
 def run_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair], q: int) -> RunRecord:

@@ -335,6 +335,21 @@ class TestConfigAndErrors:
         assert run_cli(args) == 1
         assert capsys.readouterr().err == "error: q must be at least 1\n"
 
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "1.5", "inf"])
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_tv_threshold_outside_unit_interval_is_refused(self, tmp_path, capsys,
+                                                           via, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tv_threshold={value}\n")
+        option = (["--tv-threshold", value] if via == "flag"
+                  else ["--config", str(cfg)])
+        out = tmp_path / "o.csv"
+        assert run_cli(["equiv-test", "--trials", "10", *option, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: tv_threshold must lie in [0, 1]\n"
+        assert not out.exists()
+        # Only equiv-test reads the threshold.
+        assert run_cli(["iter-bench", "--trials", "10", *option, "--out", str(out)]) == 0
+
     def test_wait_on_atomless_fixture_is_error(self):
         assert run_cli(["equiv-test", "--fixture", "greedy-max", "--emulator",
                         "wait", "--m", "3", "--q", "1", "--trials", "10"]) == 1

@@ -95,7 +95,7 @@ class TestSampling:
         src = StreamSource(point_mass(7.0), ps.trial_rng(0, 0))
         element = src.next()
         assert type(element) is ps.Element and element == ps.Element(7.0, 0.0)
-        assert src.reveal(element) == 0
+        assert src.reveal(element).response == 0
 
     def test_atomless_draws_are_distinct(self):
         src = StreamSource(ps.uniform_symbols(1, atomless=True), ps.trial_rng(1, 0))
@@ -242,7 +242,7 @@ class TestStreamProtocol:
         class RevealTwice(ps.StreamEmulator):
             def run(self, source, q):
                 element = source.next()
-                pair = ps.LabeledPair(element, source.reveal(element))
+                pair = source.reveal(element)
                 source.reveal(element)
                 return (pair,) * q
 
@@ -257,7 +257,7 @@ class TestStreamProtocol:
         second = src.next()
         with pytest.raises(ps.ContractViolation, match="not the element just observed"):
             src.reveal(first)
-        response = src.reveal(second)
+        response = src.reveal(second).response
         with pytest.raises(ps.ContractViolation, match="not the element just observed"):
             src.reveal(first)
         assert src.n_sel == 1
@@ -273,17 +273,39 @@ class TestStreamProtocol:
             src.reveal(first)
         with pytest.raises(ps.ContractViolation):
             src.reveal(ps.Element(*second))
-        assert src.reveal(second) == 0
+        assert src.reveal(second).response == 0
         with pytest.raises(ps.ContractViolation):
             src.reveal(None)
         third = src.next()
         assert third == second and third is not second
         with pytest.raises(ps.ContractViolation):
             src.reveal(second)
-        assert src.reveal(third) == 0
+        assert src.reveal(third).response == 0
         assert src.n_sel == 2
         assert src.revealed == (ps.LabeledPair(second, 0), ps.LabeledPair(third, 0))
         assert src.revealed[0].element is second and src.revealed[1].element is third
+
+    def test_reveal_returns_the_pair_it_logs(self):
+        src = StreamSource(ps.uniform_interval(response_one=0.5), ps.trial_rng(12, 2))
+        for _ in range(3):
+            element = src.next()
+            pair = src.reveal(element)
+            assert pair is src.revealed[-1] and pair.element is element
+        assert src.n_sel == 3
+
+    @pytest.mark.parametrize("reveals", [0, 1])
+    def test_run_that_revealed_fewer_than_q_is_contract_violation(self, reveals):
+        # The emulator returns q pairs, but builds them itself: the response
+        # 1 under the constant-0 law was never revealed.
+        class Forger(ps.StreamEmulator):
+            def run(self, source, q):
+                for _ in range(reveals):
+                    source.reveal(source.next())
+                return (ps.LabeledPair(source.next(), 1),) * q
+
+        with pytest.raises(ps.ContractViolation,
+                           match=f"revealed {reveals} responses, fewer than q=2"):
+            ps.run_stream(Forger(), ps.uniform_symbols(2), 2, ps.trial_rng(12, 3))
 
     def test_trial_streams_are_order_independent(self):
         dist = ps.uniform_interval()
@@ -350,8 +372,7 @@ class TestTrialRng:
 
 def reveal_next(src):
     """The next element of ``src`` with its response, as a pair."""
-    element = src.next()
-    return ps.LabeledPair(element, src.reveal(element))
+    return src.reveal(src.next())
 
 
 def test_stream_source_blocks_concatenate():
@@ -546,7 +567,7 @@ def test_cap_is_raised_mid_block():
     for i in range(100):
         element = src.next()
         if i % 7 == 0:
-            revealed.append(ps.LabeledPair(element, src.reveal(element)))
+            revealed.append(src.reveal(element))
     with pytest.raises(ps.IterationCapExceeded) as info:
         src.next()
     assert (info.value.max_iter, info.value.n_iter, info.value.n_sel) == (100, 100, 15)
@@ -627,3 +648,29 @@ def test_record_keeps_its_repr_and_refuses_assignment(make, field, text):
         setattr(record, field, None)
     # A record is a tuple of its fields, and compares as one.
     assert record == tuple(record) and record == eval(text, vars(ps) | vars(cli))
+
+
+# A valid sample of each checked record, fields its constructor refuses, and
+# a field change it refuses.
+CHECKED_RECORDS = [
+    (lambda: ps.DiscreteMarginal((0.0,), (1.0,)), ((), ()), {"probs": (0.3,)}),
+    (lambda: ps.IntervalMarginal(((0.0, 1.0, 1.0),)), ((),),
+     {"pieces": ((1.0, 0.0, 1.0),)}),
+    (lambda: ps.uniform_symbols(2), (ps.DiscreteMarginal((0.0,), (1.0,)), 2.0, False),
+     {"response_one": 2.0}),
+]
+
+
+@pytest.mark.parametrize("make,fields,change", CHECKED_RECORDS,
+                         ids=["DiscreteMarginal", "IntervalMarginal", "SourceDistribution"])
+def test_make_and_replace_check_fields_as_the_constructor_does(make, fields, change):
+    record = make()
+    kind = type(record)
+    copy = kind._make(record)
+    assert copy == record and type(copy) is kind
+    with pytest.raises(ValueError):
+        kind(*fields)
+    with pytest.raises(ValueError):
+        kind._make(fields)
+    with pytest.raises(ValueError):
+        record._replace(**change)

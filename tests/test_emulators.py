@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import poolstream as ps
+from poolstream import cli
 from poolstream.cli import run_trials
+from poolstream.core import StreamSource
 from pool_helpers import point_mass, run_pool
 
 BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
@@ -27,7 +29,7 @@ class FakeSource:
     """Deterministic stand-in for StreamSource with a scripted pair sequence.
 
     Hands out each pair's element and, like StreamSource, reveals the
-    scripted response of the element just observed and of no other.
+    scripted pair of the element just observed and of no other, and returns it.
     """
 
     def __init__(self, pairs, atomless=True):
@@ -50,7 +52,22 @@ class FakeSource:
             raise ps.ContractViolation(f"{element!r} is not the element just observed")
         self.n_sel += 1
         self.reveal_positions.append(self.n_iter)
-        return item.response
+        return item
+
+
+@pytest.mark.parametrize("emulator,fixture,m", [
+    ("wait", "greedy-max-atoms", 4), ("nowait", "greedy-max-discrete", 4),
+    ("gen", "thm3-good-pool", 4), ("utility-stream", "thm6-chain", 8),
+    ("first-q", "greedy-max", 4)])
+def test_output_pairs_are_the_revealed_pairs(emulator, fixture, m):
+    # The run hands back the very objects the source's reveal logged.
+    fix = cli.build_fixture(fixture, m, 2)
+    runner = cli.build_emulator(emulator, fix)
+    for trial in range(5):
+        source = StreamSource(fix.dist, ps.trial_rng(22, trial))
+        output = runner.run(source, 2)
+        assert len(output) == 2
+        assert {id(pair) for pair in output} <= {id(pair) for pair in source.revealed}
 
 
 class TestWaitEmulator:

@@ -89,7 +89,7 @@ class ReferenceRejection(ps.StreamEmulator):
                 if self._replay_accepts(committed, fresh):
                     break
             last = fresh[-1]
-            committed.append(ps.LabeledPair(last, source.reveal(last)))
+            committed.append(source.reveal(last))
         return tuple(committed)
 
     def _replay_accepts(self, committed, fresh):
@@ -143,7 +143,7 @@ class ReferenceSecretary(ps.StreamEmulator):
                     if best_key is None or key > best_key:
                         best_key = key
                         if chosen is None and j >= threshold:
-                            chosen = ps.LabeledPair(element, source.reveal(element))
+                            chosen = source.reveal(element)
                             chosen_key = key
                 if chosen is not None and chosen_key == best_key:
                     break
