@@ -20,54 +20,35 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import NamedTuple, TextIO
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
-from .core import (
-    DEFAULT_MAX_ITER,
-    Element,
-    EmulationError,
-    IterationCapExceeded,
-    PoolAlgorithm,
-    RunRecord,
-    SourceDistribution,
-    StreamEmulator,
-    run_stream,
-    trial_rng,
-    uniform_interval,
-    uniform_symbols,
-)
-from .constructions import (
-    BitIdentificationPool,
-    CodedPoolAlgorithm,
-    IncompletePool,
-    chain_fixture,
-    hypothesis_class,
-    two_region_marginal,
-)
-from .emulators import (
-    FirstQEmulator,
-    GreedyUtilityPool,
-    NowaitEmulator,
-    RejectionEmulator,
-    SecretaryEmulator,
-    WaitEmulator,
-)
+from . import DEFAULT_MAX_ITER
 from .secretary import cached_policy, policy_table, success_probability
-from .stats import (
-    MeanEstimate,
-    OutcomeDistribution,
-    TooLargeToEnumerate,
-    empirical_distribution,
-    exact_pool_distribution,
-    mean_ci,
-    tv_distance,
-    two_region_exact_distribution,
-)
+
+if TYPE_CHECKING:
+    from .core import Element, PoolAlgorithm, RunRecord, SourceDistribution, StreamEmulator
+    from .stats import MeanEstimate, OutcomeDistribution
+
+# Only secretary loads with this module: each command imports the submodules
+# it runs, so secretary-table never loads core, constructions, emulators
+# or stats.  The trial code reads the names below through this module object
+# (``_cli``), bound from the package on first access by ``__getattr__``, so
+# that a replacement set on the module reaches every trial.
+_LAZY = ("trial_rng", "run_stream", "exact_pool_distribution",
+         "two_region_exact_distribution", "tv_distance", "mean_ci")
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 _MAX_TABLE_N = 10**5
 
@@ -97,6 +78,12 @@ EMULATOR_NAMES = ("wait", "nowait", "gen", "utility-stream", "first-q")
 
 
 def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
+    from .constructions import (BitIdentificationPool, CodedPoolAlgorithm, chain_fixture,
+                                hypothesis_class, two_region_marginal)
+    from .core import uniform_interval, uniform_symbols
+    from .emulators import GreedyUtilityPool
+    from .stats import TooLargeToEnumerate
+
     if variant and name in _PLAIN_FIXTURES:
         raise ValueError(f"fixture {name} has no variants, got variant={variant}")
     if name == "thm3-good-pool":
@@ -106,7 +93,7 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
             raise ValueError(f"thm3-good-pool needs q <= ceil(m/2) or m = q = 2, "
                              f"got m={m}, q={q}")
         return Fixture(name, m, q, two_region_marginal(m), CodedPoolAlgorithm(m, q),
-                       lambda: two_region_exact_distribution(m, q))
+                       lambda: _cli.two_region_exact_distribution(m, q))
     if name == "ex1-hypotheses":
         # Bit-identification learner over its hypothesis class; ``variant``
         # is the target hypothesis index.  For iter-bench with the wait or
@@ -141,10 +128,13 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     alg = GreedyUtilityPool(utility, m, q, tie_break)
     return Fixture(name, m, q, dist, alg,
-                   lambda: exact_pool_distribution(alg, dist, m, q), utility=utility)
+                   lambda: _cli.exact_pool_distribution(alg, dist, m, q), utility=utility)
 
 
 def build_emulator(name: str, fixture: Fixture) -> StreamEmulator:
+    from .emulators import (FirstQEmulator, NowaitEmulator, RejectionEmulator,
+                            SecretaryEmulator, WaitEmulator)
+
     if name == "wait":
         return WaitEmulator(fixture.pool_alg)
     if name == "nowait":
@@ -182,6 +172,8 @@ def _emit(out_path: str | None, meta: dict, header: list[str],
           rows: Iterable[Sequence]) -> None:
     """Write a report through the csv writer, which quotes outcome ids, each
     row as it comes; the report is never held whole."""
+    import csv
+
     with _report(out_path, meta, header) as fh:
         csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
 
@@ -197,9 +189,12 @@ def run_trials(emulator: StreamEmulator, dist: SourceDistribution, q: int,
     they are reported, never silently dropped.  Read ``failures`` once the
     records are exhausted.
     """
+    from .constructions import IncompletePool
+    from .core import IterationCapExceeded
+
     for t in range(trials):
         try:
-            record = run_stream(emulator, dist, q, trial_rng(seed, t), max_iter)
+            record = _cli.run_stream(emulator, dist, q, _cli.trial_rng(seed, t), max_iter)
         except (IterationCapExceeded, IncompletePool) as exc:
             # Without its traceback the error no longer pins the run's frames.
             failures.append((t, exc.with_traceback(None)))
@@ -208,6 +203,8 @@ def run_trials(emulator: StreamEmulator, dist: SourceDistribution, q: int,
 
 
 def cmd_equiv_test(cfg: dict) -> int:
+    from .stats import empirical_distribution
+
     fixture = build_fixture(cfg["fixture"], cfg["m"], cfg["q"], cfg["variant"])
     emulator = build_emulator(cfg["emulator"], fixture)
     exact = fixture.exact()
@@ -216,7 +213,7 @@ def cmd_equiv_test(cfg: dict) -> int:
         run_trials(emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"],
                    failures, cfg["max_iter"]),
         exact.projection)
-    tv = tv_distance(exact, empirical)
+    tv = _cli.tv_distance(exact, empirical)
     # Failed trials may be exactly the long runs the empirical side misses,
     # so their share counts against the threshold too.
     failed_share = len(failures) / cfg["trials"]
@@ -281,7 +278,7 @@ def cmd_iter_bench(cfg: dict) -> int:
         return 1
     rows = []
     for (metric, reference, bound), column in zip(series, samples):
-        est = mean_ci(column)
+        est = _cli.mean_ci(column)
         rows.append([metric, est.mean, est.half_width, est.trials, len(failures),
                      reference, bound, _status(est, bound)])
     _emit(cfg["out"], _meta(cfg), ["metric", "mean", "ci_half", "trials",
@@ -321,7 +318,7 @@ def cmd_lowerbound_demo(cfg: dict) -> int:
         if len(n_iter) < 2:
             print(f"error: fewer than two uncapped trials at m={m}", file=sys.stderr)
             return 1
-        est = mean_ci(n_iter)
+        est = _cli.mean_ci(n_iter)
         n = fixture.utility.n if name == "thm6-chain" else None
         bound = None if n is None else q * n / 8.0
         rows.append([m, n, est.mean, est.half_width, est.trials, len(failures),
@@ -439,13 +436,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _emulation_error() -> type:
+    """``core.EmulationError``, imported only when an exception reaches main."""
+    from .core import EmulationError
+    return EmulationError
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.subcommand](cfg)
-    except (ValueError, OSError, EmulationError) as exc:
+    except (ValueError, OSError, _emulation_error()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,10 +20,10 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple, Union
 
+from . import DEFAULT_MAX_ITER
+
 if TYPE_CHECKING:  # at run time numpy loads at the first stream draw
     import numpy as np
-
-DEFAULT_MAX_ITER = 10**8
 
 _PROB_TOL = 1e-12
 
@@ -564,8 +564,8 @@ def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
 
     Raises :class:`IterationCapExceeded` if the emulator would observe more
     than ``max_iter`` elements; the cap applies to the whole run, and
-    :class:`ContractViolation` if it returns other than q pairs or revealed
-    fewer than q.
+    :class:`ContractViolation` if it returns other than q pairs, revealed
+    fewer than q, or returns a pair that :meth:`StreamSource.reveal` did not.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -576,5 +576,14 @@ def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
     if source.n_sel < q:
         raise ContractViolation(f"emulator revealed {source.n_sel} responses, "
                                 f"fewer than q={q}")
+    # By identity: an equal pair built elsewhere carries a response no
+    # reveal unsealed.  A plain loop costs less here than a set of ids.
+    revealed = source._revealed
+    for pair in output:
+        for logged in revealed:
+            if pair is logged:
+                break
+        else:
+            raise ContractViolation(f"output pair {pair!r} was not returned by reveal")
     return _new(RunRecord, (tuple(output), source.n_sel, source.n_iter,
                             source.round_attempts))

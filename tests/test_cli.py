@@ -616,3 +616,69 @@ def test_experiment_grid_digest(tmp_path):
     for path in reports:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == GRID_DIGEST
+
+
+def run_fresh(args, **kwargs):
+    """Run ``python args...`` in a fresh interpreter that imports poolstream
+    from this checkout's src/."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+# Each name perfbench and the tests replace on cli: its submodule, and a
+# command that reads it.
+REPLACEABLE = {
+    "trial_rng": ("core", ["equiv-test"]),
+    "run_stream": ("core", ["equiv-test"]),
+    "exact_pool_distribution": ("stats", ["equiv-test"]),
+    "two_region_exact_distribution": ("stats", ["equiv-test", "--fixture", "thm3-good-pool",
+                                                "--emulator", "gen"]),
+    "tv_distance": ("stats", ["equiv-test"]),
+    "mean_ci": ("stats", ["iter-bench"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLACEABLE))
+def test_replacement_set_before_first_use_reaches_every_call(name, tmp_path):
+    # cli binds these names from their submodules on first access; one set
+    # with monkeypatch before that access must still reach the command, and
+    # undoing it must leave the submodule's own function.
+    home, command = REPLACEABLE[name]
+    argv = command + ["--trials", "20", "--seed", "5", "--tv-threshold", "1",
+                      "--out", str(tmp_path / "out.csv")]
+    done = run_fresh(["-c", (
+        "import importlib, pytest, poolstream.cli as cli\n"
+        f"name = {name!r}\n"
+        "assert name not in vars(cli)\n"
+        f"original = importlib.import_module('poolstream.{home}').{name}\n"
+        "calls = []\n"
+        "patch = pytest.MonkeyPatch()\n"
+        "patch.setattr(cli, name, lambda *a: calls.append(a) or original(*a))\n"
+        f"code = cli.main({argv!r})\n"
+        "patch.undo()\n"
+        "print(code, len(calls) > 0, getattr(cli, name) is original)")])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "True", "True"]
+
+
+@pytest.mark.parametrize("args", [["secretary-table", "--n-max", "300"],
+                                  ["equiv-test", "--trials", "300", "--seed", "6"]],
+                         ids=["secretary-table", "equiv-test"])
+def test_module_entry_point_writes_what_main_writes(args, tmp_path):
+    # Under -m the module runs as __main__, whose reads through itself must
+    # resolve as they do for poolstream.cli.
+    done = run_fresh(["-m", "poolstream.cli", *args, "--out", str(tmp_path / "m.csv")])
+    assert done.returncode == 0, done.stderr
+    assert run_cli(args + ["--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_module_entry_point_reports_an_emulation_error():
+    done = run_fresh(["-m", "poolstream.cli", "equiv-test", "--fixture", "ex1-hypotheses",
+                      "--emulator", "wait", "--m", "60", "--q", "3", "--trials", "10"])
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ex1-hypotheses has no total exact output "
+                                  "distribution")

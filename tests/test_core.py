@@ -307,6 +307,19 @@ class TestStreamProtocol:
                            match=f"revealed {reveals} responses, fewer than q=2"):
             ps.run_stream(Forger(), ps.uniform_symbols(2), 2, ps.trial_rng(12, 3))
 
+    @pytest.mark.parametrize("forge", [lambda p: ps.LabeledPair(p.element, 1 - p.response),
+                                       lambda p: ps.LabeledPair(*p)],
+                             ids=["flipped-response", "equal-copy"])
+    def test_pair_that_reveal_did_not_return_is_contract_violation(self, forge):
+        # Every response is revealed, but the output pairs are built anew:
+        # a flipped one carries a response no reveal unsealed.
+        class Forger(ps.StreamEmulator):
+            def run(self, source, q):
+                return tuple(forge(source.reveal(source.next())) for _ in range(q))
+
+        with pytest.raises(ps.ContractViolation, match="was not returned by reveal"):
+            ps.run_stream(Forger(), ps.uniform_symbols(2), 2, ps.trial_rng(0, 0))
+
     def test_trial_streams_are_order_independent(self):
         dist = ps.uniform_interval()
         emulator = ps.FirstQEmulator()
@@ -585,18 +598,40 @@ def run_fresh(code):
 
 
 def test_import_secretary_table_and_exact_laws_skip_numpy(tmp_path):
-    # Records are NamedTuples, so neither dataclasses nor the inspect it
-    # imports loads either.
+    # The table loads only the secretary submodule and writes its rows
+    # without csv.  Records are NamedTuples, so neither dataclasses nor the
+    # inspect it imports loads, not even with the exact laws.
     out = tmp_path / "table.csv"
     assert run_fresh(
         "import sys, poolstream, poolstream.cli as cli\n"
         f"assert cli.main(['secretary-table', '--n-max', '300', '--out', {str(out)!r}]) == 0\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('poolstream')))\n"
+        "skipped = ('numpy', 'fractions', 'decimal', 'dataclasses', 'inspect')\n"
+        "print(*(name in sys.modules for name in skipped + ('csv',)))\n"
         "for name in ('greedy-max', 'greedy-max-discrete', 'thm3-good-pool'):\n"
         "    cli.build_fixture(name, 4, 2).exact()\n"
-        "print(*(name in sys.modules for name in\n"
-        "        ('numpy', 'fractions', 'decimal', 'dataclasses', 'inspect')))"
-    ) == "False False False False False"
+        "print(*(name in sys.modules for name in skipped))"
+    ).splitlines() == ["poolstream poolstream.cli poolstream.secretary",
+                       "False False False False False False",
+                       "False False False False False"]
     assert len(out.read_text().splitlines()) > 300
+
+
+def test_package_loads_each_submodule_on_first_use():
+    assert run_fresh(
+        "import sys, importlib, poolstream as ps\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('poolstream')))\n"
+        "for name in ps.__all__:\n"
+        "    home = 'core' if name == 'DEFAULT_MAX_ITER' else ps._HOME[name]\n"
+        "    value = getattr(importlib.import_module('poolstream.' + home), name)\n"
+        "    assert getattr(ps, name) is value and vars(ps)[name] is value, name\n"
+        "print(len(ps.__all__))\n"
+        "try:\n"
+        "    ps.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)"
+    ).splitlines() == ["poolstream", "60",
+                       "module 'poolstream' has no attribute 'no_such_name'"]
 
 
 def test_first_trial_loads_numpy(tmp_path):
@@ -647,7 +682,9 @@ def test_record_keeps_its_repr_and_refuses_assignment(make, field, text):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     # A record is a tuple of its fields, and compares as one.
-    assert record == tuple(record) and record == eval(text, vars(ps) | vars(cli))
+    # The package binds its names on first access, so they are read here.
+    names = {name: getattr(ps, name) for name in ps.__all__} | vars(cli)
+    assert record == tuple(record) and record == eval(text, names)
 
 
 # A valid sample of each checked record, fields its constructor refuses, and
