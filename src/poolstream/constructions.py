@@ -14,9 +14,7 @@ Three families, each exposing enough structure for exact verification:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
-from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
@@ -51,32 +49,34 @@ class IncompletePool(EmulationError):
 # Permutation coding on the unit interval
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def permutation_from_unit(u: float, size: int) -> tuple[int, ...]:
+def permutation_from_unit(u: float, size: int,
+                          length: int | None = None) -> tuple[int, ...]:
     """Decode u in [0, 1] to a permutation of range(size).
 
     Uses the factorial-base digits of u as a Lehmer code, so a uniform u maps
     to a uniform permutation (exactly in the real-number idealization, to
     within one part in 2**53 in floats -- far finer than any test bins).
-    Deterministic: equal inputs give equal permutations, so the last result
-    is kept for the pool replay, which decodes one pool's high element again
-    on each round.
+    Deterministic: equal inputs give equal permutations.  The decode runs one
+    entry at a time and stops after ``length`` entries (1 to ``size``, all by
+    default), so a shorter length gives a prefix of the whole permutation.
     """
     if size < 1:
         raise ValueError("size must be positive")
     if not 0.0 <= u <= 1.0:  # also false for NaN
         raise ValueError(f"u={u} outside [0, 1]")
+    length = size if length is None else length
+    if not 1 <= length <= size:
+        raise ValueError(f"length={length} outside [1, {size}]")
     frac = u if u < 1.0 else math.nextafter(1.0, 0.0)
     available = list(range(size))
     perm = []
-    for radix in range(size, 1, -1):
+    for radix in range(size, size - length, -1):
         frac *= radix
         digit = int(frac)
         if digit >= radix:  # guard against float roundup at cell edges
             digit = radix - 1
         frac -= digit
         perm.append(available.pop(digit))
-    perm.append(available.pop())
     return tuple(perm)
 
 
@@ -100,10 +100,6 @@ def unit_from_permutation(perm: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 # Two-region permutation-coded pool algorithm
 # ---------------------------------------------------------------------------
-
-# Above every low element and below every high one in (base, tiebreak) order.
-_LOW_TOP = (1.0, math.inf)
-
 
 def region_of(base: float) -> int:
     """0 for the unit interval, 1 for the high interval (1, 2]."""
@@ -149,19 +145,20 @@ class CodedPoolAlgorithm(PoolAlgorithm):
         # Elements order by (base, tiebreak), so one sort ranks both regions
         # and the lows (base <= 1.0) come first.
         order = sorted(range(len(elements)), key=elements.__getitem__)
-        n_low = bisect_right(order, _LOW_TOP, key=elements.__getitem__)
+        n_low = len(order)
+        while n_low and elements[order[n_low - 1]].base > 1.0:
+            n_low -= 1
         n_high = len(order) - n_low
         if n_high == 1:
             hi = order[n_low]
-            sigma = permutation_from_unit(elements[hi].base - 1.0, n_low)
             t = len(history) + 1
-            if t < q:
-                return order[sigma[t - 1]]
-            if all(pair.response == 0 for pair in history):
-                return hi
-            if q <= n_low:
-                return order[sigma[q - 1]]
-            return hi  # q == m: every low already taken, the high is forced
+            if t >= q:
+                # The high after all-zero responses or if q == m, else sigma(q).
+                if q > n_low or all(pair.response == 0 for pair in history):
+                    return hi
+                t = q
+            # sigma is decoded only up to the one entry this round reads.
+            return order[permutation_from_unit(elements[hi].base - 1.0, n_low, t)[t - 1]]
         if n_low >= q:
             feasible = order[:n_low]
         elif n_high >= q:

@@ -36,7 +36,8 @@ class ContractViolation(EmulationError):
     """A protocol rule was broken: a pool algorithm returned an index that is
     not an int, out of range or already selected, or an emulator revealed an
     element other than the one just observed (an earlier one, or the same one
-    twice), returned the wrong number of pairs or revealed fewer than q."""
+    twice), returned the wrong number of pairs, a pair no reveal returned or
+    one pair twice, or revealed fewer than q."""
 
 
 class AtomlessDistribution(EmulationError):
@@ -409,7 +410,7 @@ class StreamSource:
     """
 
     __slots__ = ("dist", "max_iter", "n_iter", "n_sel", "round_attempts", "_rng",
-                 "_block", "_uniforms", "_pos", "_width", "_top", "_atomless",
+                 "_block", "_uniforms", "_pos", "_stop", "_width", "_top", "_atomless",
                  "_symbols", "_cum", "_pieces", "_prob_one", "_last", "_revealed")
 
     def __init__(self, dist: SourceDistribution, rng: np.random.Generator,
@@ -423,6 +424,7 @@ class StreamSource:
         self._block = _FIRST_BLOCK
         self._uniforms: list[float] = []
         self._pos = 0  # where the next pair's uniforms start
+        self._stop = 0  # next() refills at this n_iter: the cap or the uniforms' end
         self._atomless = dist.atomless
         (self._symbols, self._cum, self._pieces,
          self._width, self._top) = dist.sampling_table
@@ -432,21 +434,12 @@ class StreamSource:
 
     def next(self) -> Element:
         """Observe the next stream element, counting it toward ``n_iter``."""
-        if self.n_iter >= self.max_iter:
-            raise IterationCapExceeded(self.max_iter, self.n_iter, self.n_sel,
-                                       self.revealed)
+        if self.n_iter >= self._stop:
+            self._refill()
         self.n_iter += 1
         pos = self._pos
-        end = pos + self._width
+        self._pos = pos + self._width
         u = self._uniforms
-        if end > len(u):
-            # Keep the uniforms after the last whole pair of the old block.
-            block = self._block
-            self._block = min(2 * block, _MAX_BLOCK)
-            self._uniforms = u = u[pos:] + self._rng.random(block).tolist()
-            end -= pos
-            pos = 0
-        self._pos = end
         x = u[pos]
         # bisect_right over cum[:top] is bisect_right over cum, clamped to
         # top; with one entry of positive mass there is nothing to search.
@@ -464,6 +457,16 @@ class StreamSource:
         tiebreak = u[pos + 1] if self._atomless else 0.0
         self._last = element = _new(Element, (base, tiebreak))
         return element
+
+    def _refill(self) -> None:
+        """Raise at the cap, or draw a block behind the unused uniforms and move the stop."""
+        if self.n_iter >= self.max_iter:
+            raise IterationCapExceeded(self.max_iter, self.n_iter, self.n_sel, self.revealed)
+        block = self._block
+        self._block = min(2 * block, _MAX_BLOCK)
+        self._uniforms = u = self._uniforms[self._pos:] + self._rng.random(block).tolist()
+        self._pos = 0
+        self._stop = min(self.max_iter, self.n_iter + len(u) // self._width)
 
     def reveal(self, element: Element) -> LabeledPair:
         """Unseal the just observed element's response, counting it toward
@@ -533,7 +536,7 @@ class StreamEmulator:
 
 
 def _checked_select(alg: PoolAlgorithm, elements: Sequence[Element],
-                    history: History, selected: set[int]) -> int:
+                    history: History, selected: set[int] | frozenset[int]) -> int:
     idx = alg.select_next(elements, history, frozenset(selected))
     # type(), not isinstance(): a bool is an int, and True would pick index 1.
     if type(idx) is not int or not 0 <= idx < len(elements):
@@ -565,7 +568,7 @@ def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
     Raises :class:`IterationCapExceeded` if the emulator would observe more
     than ``max_iter`` elements; the cap applies to the whole run, and
     :class:`ContractViolation` if it returns other than q pairs, revealed
-    fewer than q, or returns a pair that :meth:`StreamSource.reveal` did not.
+    fewer than q, or returns one pair twice or one that ``reveal`` did not.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -576,14 +579,19 @@ def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
     if source.n_sel < q:
         raise ContractViolation(f"emulator revealed {source.n_sel} responses, "
                                 f"fewer than q={q}")
-    # By identity: an equal pair built elsewhere carries a response no
-    # reveal unsealed.  A plain loop costs less here than a set of ids.
+    # By identity: an equal pair built elsewhere carries a response no reveal
+    # unsealed, and one pair is one selection.  Loops cost less than id sets.
     revealed = source._revealed
+    checked: list[LabeledPair] = []
     for pair in output:
         for logged in revealed:
             if pair is logged:
                 break
         else:
             raise ContractViolation(f"output pair {pair!r} was not returned by reveal")
+        for earlier in checked:
+            if pair is earlier:
+                raise ContractViolation(f"output pair {pair!r} is returned twice")
+        checked.append(pair)
     return _new(RunRecord, (tuple(output), source.n_sel, source.n_iter,
                             source.round_attempts))

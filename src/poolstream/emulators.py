@@ -162,33 +162,28 @@ class RejectionEmulator(StreamEmulator):
         # m - k; each redraw overwrites only the draw.
         elements: list = [None] * m
         nxt = source.next
+        none_selected: frozenset[int] = frozenset()  # _checked_select passes it uncopied
         for k in range(q):
             while True:
                 for j in range(k, m):
                     elements[j] = nxt()
-                if self._replay_accepts(committed, elements):
-                    break
+                # Accept iff the replay's first k picks are the k committed
+                # slots, in any order, and the next is the last draw.
+                history: list[LabeledPair] = []
+                selected = none_selected
+                for _ in range(k):
+                    idx = _checked_select(alg, elements, history, selected)
+                    if idx >= k:
+                        break  # a sealed element was picked: history mismatch
+                    selected |= {idx}
+                    history.append(committed[idx])
+                else:
+                    if _checked_select(alg, elements, history, selected) == m - 1:
+                        break
             # The last draw, just observed, is the one the replay selected.
             element = elements[k] = elements[m - 1]
             committed.append(source.reveal(element))
         return tuple(committed)
-
-    def _replay_accepts(self, committed: list[LabeledPair],
-                        elements: list[Element]) -> bool:
-        alg = self.pool_alg
-        k = len(committed)
-        history: list[LabeledPair] = []
-        selected: set[int] = set()
-        for _ in range(k):
-            idx = _checked_select(alg, elements, history, selected)
-            if idx >= k:
-                return False  # a sealed element was picked: history mismatch
-            selected.add(idx)
-            history.append(committed[idx])
-        # First k selections hit all k committed slots, so the replayed pairs
-        # equal the committed history as a multiset; check the round-i pick.
-        idx = _checked_select(alg, elements, history, selected)
-        return idx == len(elements) - 1
 
 
 class SecretaryEmulator(StreamEmulator):

@@ -55,26 +55,43 @@ class TestPermutationCoding:
         # u = 1.0 (base exactly 2.0) must decode without error.
         assert len(ps.permutation_from_unit(1.0, 4)) == 4
 
-    def test_cached_decode_equals_uncached(self):
-        # The decode keeps its last result: a hit must return what a fresh
-        # decode gives, whether the arguments repeat or alternate.
+    def test_prefix_decode_matches_reference(self):
+        # The whole-permutation decode loop the prefix decode replaced: every
+        # length must give that permutation's prefix, and no call may skip
+        # the input checks, also right after a valid call.
+        def reference(u, size):
+            frac = u if u < 1.0 else math.nextafter(1.0, 0.0)
+            available = list(range(size))
+            perm = []
+            for radix in range(size, 1, -1):
+                frac *= radix
+                digit = int(frac)
+                if digit >= radix:
+                    digit = radix - 1
+                frac -= digit
+                perm.append(available.pop(digit))
+            perm.append(available.pop())
+            return tuple(perm)
+
         decode = ps.permutation_from_unit
-        fresh = decode.__wrapped__
         us = ps.trial_rng(42, 0).random(30).tolist() + [1.0]
         for size in range(1, 8):
             for u in us:
-                for args in ((u, size), (u, size), (us[0], size), (u, size),
-                             (u, size % 7 + 1), (u, size)):
-                    got = decode(*args)
-                    assert type(got) is tuple and got == fresh(*args), args
-        # Errors are never cached: each bad call raises again, also right
-        # after a valid call or the same bad call.
+                whole = reference(u, size)
+                for length in range(1, size + 1):
+                    got = decode(u, size, length)
+                    assert type(got) is tuple and got == whole[:length], (u, size, length)
+                assert decode(u, size) == whole
+                for length in (0, size + 1):
+                    with pytest.raises(ValueError):
+                        decode(u, size, length)
         for bad in ((-0.25, 3), (-5e-324, 1), (0.5, 0), (0.5, -1),
                     (1.5, 4), (math.nan, 4), (-0.1, 4)):
-            decode(0.5, 3)
-            for _ in range(3):
-                with pytest.raises(ValueError):
-                    decode(*bad)
+            for length in (None, 1):
+                decode(0.5, 3)
+                for _ in range(3):
+                    with pytest.raises(ValueError):
+                        decode(*bad, length)
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_uniform_pushforward(self, size):

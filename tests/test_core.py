@@ -320,6 +320,17 @@ class TestStreamProtocol:
         with pytest.raises(ps.ContractViolation, match="was not returned by reveal"):
             ps.run_stream(Forger(), ps.uniform_symbols(2), 2, ps.trial_rng(0, 0))
 
+    def test_pair_returned_twice_is_contract_violation(self):
+        # Both pairs are revealed and returned by reveal, but the output
+        # holds the first one twice: one selection counted as two.
+        class Repeater(ps.StreamEmulator):
+            def run(self, source, q):
+                pairs = [source.reveal(source.next()) for _ in range(q)]
+                return (pairs[0],) * q
+
+        with pytest.raises(ps.ContractViolation, match="is returned twice"):
+            ps.run_stream(Repeater(), ps.uniform_symbols(2), 2, ps.trial_rng(0, 0))
+
     def test_trial_streams_are_order_independent(self):
         dist = ps.uniform_interval()
         emulator = ps.FirstQEmulator()
@@ -572,20 +583,29 @@ def test_responses_stay_sealed_until_reveal():
         assert record.n_iter > record.n_sel
 
 
-def test_cap_is_raised_mid_block():
+@pytest.mark.parametrize("dist,cap,every,n_sel", [
     # Three uniforms per pair: the 100th pair ends inside the third block.
-    dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
-    src = StreamSource(dist, ps.trial_rng(17, 0), max_iter=100)
+    (ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI), 100, 7, 15),
+    # Two uniforms per pair: the cap meets the end of the first 64-uniform
+    # block, of the second, 128-uniform, block, or comes before any draw.
+    (ps.two_region_marginal(4), 32, 5, 7),
+    (ps.two_region_marginal(4), 96, 5, 20),
+    (ps.two_region_marginal(4), 1, 1, 1),
+], ids=["width3-cap100", "width2-cap32", "width2-cap96", "width2-cap1"])
+def test_cap_is_raised_mid_block(dist, cap, every, n_sel):
+    src = StreamSource(dist, ps.trial_rng(17, 0), max_iter=cap)
+    uncapped = StreamSource(dist, ps.trial_rng(17, 0))
     revealed = []
-    for i in range(100):
+    for i in range(cap):
         element = src.next()
-        if i % 7 == 0:
+        assert element == uncapped.next()
+        if i % every == 0:
             revealed.append(src.reveal(element))
     with pytest.raises(ps.IterationCapExceeded) as info:
         src.next()
-    assert (info.value.max_iter, info.value.n_iter, info.value.n_sel) == (100, 100, 15)
+    assert (info.value.max_iter, info.value.n_iter, info.value.n_sel) == (cap, cap, n_sel)
     assert info.value.revealed == tuple(revealed)
-    assert src.n_iter == 100
+    assert src.n_iter == cap
 
 
 def run_fresh(code):

@@ -2,13 +2,15 @@
 
 ``CodedPoolAlgorithm.select_next``, ``RejectionEmulator``,
 ``SecretaryEmulator`` and ``GreedyUtilityPool.select_next`` are written for
-speed: one sort over whole elements, a committed-elements list kept across
-redraws, newest-first domain filters, and key comparisons that test the
-score first and read the tie-break only on equal scores, with no
-``(score, tiebreak)`` tuple built per utility call.  Each is checked here
-against a reference copy of the plain code it replaced, kept in this file,
-on the same seeded inputs: indices, raised errors and whole run records
-(counters and round attempts included) must be identical.
+speed: one sort over whole elements, a split found by scanning down from the
+top, a permutation decoded only up to the entry a round reads, one elements
+list whose committed slots are kept across redraws, each redraw replayed in
+one loop on a frozen selected set, newest-first domain filters, and key
+comparisons that test the score first and read the tie-break only on equal
+scores, with no ``(score, tiebreak)`` tuple built per utility call.  Each is
+checked here against a reference copy of the plain code it replaced, kept in
+this file, on the same seeded inputs: indices, raised errors and whole run
+records (counters and round attempts included) must be identical.
 """
 
 import numpy as np
@@ -289,12 +291,19 @@ def test_secretary_matches_reference_on_every_chain_law(m, q):
                          ReferenceSecretary(chain.utility, m), dist, q, 530 + law, 150)
 
 
-@pytest.mark.parametrize("m,q,trials", [(3, 2, 300), (4, 2, 300), (5, 3, 40)])
-def test_rejection_matches_reference_on_coded_pool(m, q, trials):
+# Under the response law 0 no replay reaches the coded pool's final-round
+# branch that reads sigma(q) after a revealed 1; the "-ones" cases do, and
+# fail a replay that serves a committed pair with a wrong response.
+@pytest.mark.parametrize("m,q,trials,response_one", [
+    (3, 2, 300, 0.0), (4, 2, 300, 0.0), (5, 3, 40, 0.0), (4, 2, 300, 0.5), (5, 3, 40, 0.5)],
+    ids=["3-2-300", "4-2-300", "5-3-40", "4-2-300-ones", "5-3-40-ones"])
+def test_rejection_matches_reference_on_coded_pool(m, q, trials, response_one):
     alg = ps.CodedPoolAlgorithm(m, q)
     records, _ = assert_same_runs(ps.RejectionEmulator(alg), ReferenceRejection(alg),
-                                  ps.two_region_marginal(m), q, 540, trials)
+                                  ps.two_region_marginal(m, response_one), q, 540, trials)
     assert all(r.n_sel == q for r in records)
+    if response_one:
+        assert any(pair.response for r in records for pair in r.output[:-1])
 
 
 def test_rejection_matches_reference_under_a_cap():
