@@ -78,8 +78,8 @@ def policy_table(n_max: int):
     with n, so r(n) <= r(n+1), and rounded subtraction is monotone in each
     argument, so the float test is too.
     """
-    if n_max < 1:
-        raise InvalidHorizon(f"n_max must be positive, got {n_max}")
+    if type(n_max) is not int or n_max < 1:
+        raise InvalidHorizon(f"n_max must be a positive integer, got {n_max!r}")
     h_n = h_r1 = h_r2 = 0.0  # H_{n-1}, H_{r-1}, H_{r-2}
     r = 1
     for n in range(1, n_max + 1):

@@ -160,24 +160,22 @@ def _exact_law(alg: PoolAlgorithm, pools: Iterable[tuple[list[Element], float]],
     """
     masses: Counter[Outcome] = Counter()
     history: list[LabeledPair] = []
-    selected: set[int] = set()
 
-    def recurse(elements: list[Element], w: float) -> None:
+    def recurse(elements: list[Element], w: float, selected: frozenset[int]) -> None:
         if len(history) == q:
             masses[canonicalizer(history)] += w
             return
         idx = _checked_select(alg, elements, history, selected)
-        selected.add(idx)
+        selected |= {idx}
         p1 = prob_one(elements[idx].base)
         for response, pr in ((1, p1), (0, 1.0 - p1)):
             if pr > 0.0:
                 history.append(LabeledPair(elements[idx], response))
-                recurse(elements, w * pr)
+                recurse(elements, w * pr, selected)
                 history.pop()
-        selected.remove(idx)
 
     for elements, weight in pools:
-        recurse(elements, weight)
+        recurse(elements, weight, frozenset())
     return OutcomeDistribution(dict(masses), canonicalizer)
 
 

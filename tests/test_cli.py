@@ -53,10 +53,11 @@ class TestSecretaryTable:
         last = rows[-1]
         assert abs(float(last["p_sp"]) - 0.36788) < 0.01
 
-    @pytest.mark.parametrize("n_max", [1, 2, 3, 300])
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 255, 256, 257, 300, 513])
     def test_rows_equal_the_csv_writer_path(self, tmp_path, n_max):
-        # The table formats its own rows; they must be the bytes the generic
-        # csv path (_fmt per cell) writes for the same policy_table rows.
+        # The table formats its own rows, 256 to a write; they must be the
+        # bytes the generic csv path (_fmt per cell) writes for the same
+        # policy_table rows, on either side of each batch edge.
         argv = ["secretary-table", "--n-max", str(n_max)]
         table, generic = tmp_path / "table.csv", tmp_path / "generic.csv"
         assert run_cli(argv + ["--out", str(table)]) == 0
@@ -64,6 +65,14 @@ class TestSecretaryTable:
         cli._emit(str(generic), cli._meta(cfg), ["n", "threshold", "p_sp"],
                   ps.policy_table(n_max))
         assert table.read_bytes() == generic.read_bytes()
+
+    def test_stdout_equals_the_out_file(self, tmp_path, capsys):
+        argv = ["secretary-table", "--n-max", "513"]
+        out = tmp_path / "table.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_horizon_cap(self):
         assert run_cli(["secretary-table", "--n-max", "200000"]) == 1
@@ -316,9 +325,11 @@ class TestConfigAndErrors:
         (["--trials", "0"], "trials must be positive"),
         (["--seed", str(2**64)], "seed must fit in 64 bits"),
         (["--q", "0"], "q must be at least 1"),
-    ], ids=["q-above-m", "zero-trials", "seed-beyond-64-bits", "q-below-one"])
+        (["--max-iter", "0"], "max_iter must be positive"),
+    ], ids=["q-above-m", "zero-trials", "seed-beyond-64-bits", "q-below-one",
+            "zero-max-iter"])
     def test_trial_options_are_checked_where_read(self, tmp_path, capsys, option, message):
-        # secretary-table reads neither the seed, the trials nor m and q.
+        # secretary-table reads neither the seed, the trials, the cap nor m and q.
         out = tmp_path / "table.csv"
         assert run_cli(["secretary-table", "--n-max", "5", *option, "--out", str(out)]) == 0
         assert len(read_rows(out)[2]) == 5

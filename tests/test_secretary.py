@@ -131,6 +131,13 @@ def test_thresholds_equal_rational_argmax_up_to_256():
 def test_bool_horizon_is_rejected():
     with pytest.raises(InvalidHorizon):
         optimal_policy(True)
+    with pytest.raises(InvalidHorizon):
+        list(policy_table(True))
+
+
+def test_non_integer_table_horizon_is_rejected():
+    with pytest.raises(InvalidHorizon):
+        list(policy_table(2.5))
 
 
 def test_invalid_horizon():
