@@ -547,16 +547,16 @@ def _checked_select(alg: PoolAlgorithm, elements: Sequence[Element],
     return idx
 
 
-def interact_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair],
-                  q: int) -> list[LabeledPair]:
-    """Run the q-round pool interaction, revealing responses on selection."""
-    elements = [p.element for p in pool]
+def interact_pool(alg: PoolAlgorithm, elements: Sequence[Element], q: int,
+                  respond: Callable[[int], LabeledPair]) -> list[LabeledPair]:
+    """Run the q-round pool interaction on ``elements``; ``respond(idx)``, called
+    only with a checked index, returns the revealed pair for that selection."""
     history: list[LabeledPair] = []
     selected: set[int] = set()
     for _ in range(q):
         idx = _checked_select(alg, elements, history, selected)
         selected.add(idx)
-        history.append(pool[idx])
+        history.append(respond(idx))
     return history
 
 

@@ -107,18 +107,14 @@ class WaitEmulator(StreamEmulator):
                 "use a discrete source without tie-breaks")
         alg = self.pool_alg
         elements = [source.next() for _ in range(alg.m)]  # never revealed
-        history: list[LabeledPair] = []
-        selected: set[int] = set()
-        for _ in range(q):
-            idx = _checked_select(alg, elements, history, selected)
+
+        def wait_for(idx: int) -> LabeledPair:
             target = elements[idx]
             while True:
                 element = source.next()
                 if element == target:
-                    break
-            selected.add(idx)
-            history.append(source.reveal(element))
-        return tuple(history)
+                    return source.reveal(element)
+        return tuple(interact_pool(alg, elements, q, wait_for))
 
 
 class NowaitEmulator(StreamEmulator):
@@ -129,7 +125,8 @@ class NowaitEmulator(StreamEmulator):
 
     def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
         pool = [source.reveal(source.next()) for _ in range(self.pool_alg.m)]
-        return tuple(interact_pool(self.pool_alg, pool, q))
+        return tuple(interact_pool(self.pool_alg, [p.element for p in pool], q,
+                                   pool.__getitem__))
 
 
 class RejectionEmulator(StreamEmulator):

@@ -1,5 +1,6 @@
 """Pool-side references that only the tests use: running a pool algorithm
-on a sealed pool, drawing pools, exact laws of small cases."""
+on a sealed pool, drawing pools, exact laws of small cases, and the greedy
+pool, response law and trial batch that several test modules share."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
+from poolstream.cli import run_trials
 from poolstream.constructions import BitIdentificationPool, HypothesisClass, InvalidShape
 from poolstream.core import (
     DiscreteMarginal,
@@ -20,8 +22,25 @@ from poolstream.core import (
     StreamSource,
     interact_pool,
 )
+from poolstream.emulators import GreedyUtilityPool
 from poolstream.secretary import SecretaryPolicy, _validate_policy
 from poolstream.stats import OutcomeDistribution, RankPattern
+
+#: P(response 1) per symbol of the three-symbol response fixtures.
+BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
+
+
+def greedy(m, q, **kw):
+    """Greedy pool on the element's base value."""
+    return GreedyUtilityPool(lambda e, h: e.base, m, q, **kw)
+
+
+def batch(emulator, dist, q, seed, trials):
+    """The records of ``trials`` seeded trials; fails the test if any trial failed."""
+    failures = []
+    records = list(run_trials(emulator, dist, q, seed, trials, failures))
+    assert not failures
+    return records
 
 
 def point_mass(symbol: float, *, response_one: ResponseLawLike = 0.0) -> SourceDistribution:
@@ -47,7 +66,8 @@ def run_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair], q: int) -> RunReco
         raise ValueError(f"budget q={q} exceeds pool size m={m}")
     if getattr(alg, "m", m) != m:
         raise ValueError(f"pool algorithm expects m={alg.m}, got pool of size {m}")
-    return RunRecord(tuple(interact_pool(alg, pool, q)), q, m, None)
+    return RunRecord(tuple(interact_pool(alg, [p.element for p in pool], q,
+                                         pool.__getitem__)), q, m, None)
 
 
 def identify_bits(hclass: HypothesisClass, history: History) -> int:

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import poolstream as ps
-from poolstream.cli import run_trials
 from poolstream.secretary import expected_costs, optimal_policy, success_probability
 from pool_helpers import (
+    BERNOULLI,
+    batch,
     first_q_exact_distribution,
+    greedy,
     pool_bit_learner,
     run_pool,
     sample_pool,
@@ -25,7 +27,6 @@ from pool_helpers import (
 )
 
 TRIALS_EQUIV = 200_000
-BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
 
 
 def report(num, ok, desc, detail=""):
@@ -34,17 +35,6 @@ def report(num, ok, desc, detail=""):
         line += f"  ({detail})"
     print(line)
     assert ok, line
-
-
-def greedy(m, q, **kw):
-    return ps.GreedyUtilityPool(lambda e, h: e.base, m, q, **kw)
-
-
-def batch(emulator, dist, q, seed, trials):
-    failures = []
-    records = list(run_trials(emulator, dist, q, seed, trials, failures))
-    assert not failures
-    return records
 
 
 # ---------------------------------------------------------------------------

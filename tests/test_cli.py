@@ -1,12 +1,14 @@
 """CLI surface: subcommands, CSV schema, determinism, exit codes."""
 
 import hashlib
+import importlib.util
 import os
 import pathlib
 import pickle
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 
@@ -673,6 +675,48 @@ def test_replacement_set_before_first_use_reaches_every_call(name, tmp_path):
         "print(code, len(calls) > 0, getattr(cli, name) is original)")])
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "True", "True"]
+
+
+def load_perfbench_instrument():
+    """perfbench/instrument.py as a fresh module, without a sys.path entry."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instrument", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("hook,command", [
+    ("Tracer", ["equiv-test", "--fixture", "greedy-max-atoms", "--emulator", "wait",
+                "--tv-threshold", "1"]),
+    ("TrialHook", ["iter-bench", "--fixture", "greedy-max-atoms", "--emulator", "wait"])])
+def test_perfbench_hooks_patch_and_restore_the_package(hook, command, tmp_path, monkeypatch):
+    # The benchmark patches package attributes by name; each must exist,
+    # reach a run, and be the original object again after uninstall.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    instrument = load_perfbench_instrument()
+    package = types.SimpleNamespace(**{
+        name: importlib.import_module(f"poolstream.{name}")
+        for name in ("cli", "constructions", "core", "emulators", "secretary", "stats")})
+    hooks = getattr(instrument, hook)(package)
+    if hook == "Tracer":
+        hooks.begin("guard")
+    hooks.install()
+    try:
+        patched = list(hooks._patches._saved)
+        code = cli.main(command + ["--m", "4", "--q", "2", "--trials", "2", "--seed", "5",
+                                   "--out", str(tmp_path / "out.csv")])
+    finally:
+        hooks.uninstall()
+    assert code == 0
+    assert patched
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, (owner, attr)
+    if hook == "Tracer":
+        assert hooks.counts[0]["trials"] == 2
+        assert hooks.rep_totals(0)["emulators.run"][0] == 2
+    else:
+        assert hooks.attempted == len(hooks.latencies_ns) == 2
 
 
 @pytest.mark.parametrize("args", [["secretary-table", "--n-max", "300"],

@@ -15,14 +15,7 @@ from hypothesis import example, given, strategies as st
 import poolstream as ps
 from poolstream import cli
 from poolstream.core import StreamSource
-from pool_helpers import point_mass, run_pool, sample_pool
-
-
-def greedy(m, q, **kw):
-    return ps.GreedyUtilityPool(lambda e, h: e.base, m, q, **kw)
-
-
-BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
+from pool_helpers import BERNOULLI, greedy, point_mass, run_pool, sample_pool
 
 
 class TestDistributions:

@@ -7,22 +7,8 @@ import pytest
 
 import poolstream as ps
 from poolstream import cli
-from poolstream.cli import run_trials
 from poolstream.core import StreamSource
-from pool_helpers import point_mass, run_pool
-
-BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
-
-
-def greedy(m, q, **kw):
-    return ps.GreedyUtilityPool(lambda e, h: e.base, m, q, **kw)
-
-
-def batch(emulator, dist, q, seed, trials):
-    failures = []
-    records = list(run_trials(emulator, dist, q, seed, trials, failures))
-    assert not failures
-    return records
+from pool_helpers import BERNOULLI, batch, greedy, point_mass, run_pool
 
 
 class FakeSource:
@@ -107,6 +93,27 @@ class TestWaitEmulator:
         emulator = ps.WaitEmulator(greedy(4, 2, tie_break="index"))
         for record in batch(emulator, ps.uniform_symbols(3), 2, 23, 200):
             assert record.n_sel == 2
+
+    @pytest.mark.parametrize("picks,message,n_iter,n_sel", [
+        ((5,), "not an int in range", 2, 0),
+        ((True,), "True", 2, 0),
+        ((0, 0), "selected twice", 3, 1)], ids=["out-of-range", "bool", "repeated"])
+    def test_checks_the_index_before_waiting(self, picks, message, n_iter, n_sel):
+        # A bad index raises before its round's wait observes an element.  In
+        # round 1 only the m-element prefix has been observed; a repeat can
+        # first come in round 2, after round 1's wait of one element.
+        class Scripted(ps.PoolAlgorithm):
+            m = 2
+            q = len(picks)
+
+            def select_next(self, elements, history, selected):
+                return picks[len(history)]
+
+        source = FakeSource([ps.LabeledPair(ps.Element(b, 0.0), 0)
+                             for b in (0.0, 1.0, 0.0, 1.0, 0.0)], atomless=False)
+        with pytest.raises(ps.ContractViolation, match=message):
+            ps.WaitEmulator(Scripted()).run(source, len(picks))
+        assert (source.n_iter, source.n_sel) == (n_iter, n_sel)
 
 
 class TestNowaitEmulator:

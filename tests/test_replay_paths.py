@@ -20,8 +20,7 @@ import poolstream as ps
 from poolstream.cli import base_utility, run_trials
 from poolstream.core import _checked_select
 from poolstream.secretary import cached_policy
-
-BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
+from pool_helpers import BERNOULLI
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,11 @@ import poolstream as ps
 from poolstream.cli import build_fixture, run_trials
 from poolstream.core import ContractViolation
 from poolstream.stats import InsufficientSamples, TooLargeToEnumerate
-from pool_helpers import first_q_exact_distribution, run_pool
+from pool_helpers import first_q_exact_distribution, greedy, run_pool
 
 
 def pair(base, tiebreak=0.0, response=0):
     return ps.LabeledPair(ps.Element(base, tiebreak), response)
-
-
-def greedy(m, q, **kw):
-    return ps.GreedyUtilityPool(lambda e, h: e.base, m, q, **kw)
 
 
 class TestCanonicalization:
