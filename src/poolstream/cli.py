@@ -234,21 +234,42 @@ def cmd_equiv_test(cfg: dict) -> int:
     return 2 if status == "FAIL" else 0
 
 
-def _costs(emulator: str, m: int, q: int) -> tuple:
-    """``(n_iter reference, n_sel reference, n_iter bound, per-round attempt
-    references)`` of an emulator at pool size m and budget q; None is blank."""
+def _p_sp(horizon: int) -> float:
+    """The optimal secretary rule's success probability at ``horizon``."""
+    return success_probability(cached_policy(horizon))
+
+
+def _costs(emulator: str, fixture: Fixture) -> tuple:
+    """``(n_iter reference, n_sel reference, n_iter upper bound, per-round attempt
+    references, n_iter lower bound: Theorem 6's q·n/8 on the chain)``; None is blank."""
+    m, q = fixture.m, fixture.q
+    lower = q * fixture.utility.n / 8.0 if fixture.name == "thm6-chain" else None
     if emulator == "gen":
         bound = float(m * m) if q <= 1 else m * m * (math.e * m / (q - 1)) ** (q - 1)
-        return (bound if q == 1 else None), None, bound, None
+        return (bound if q == 1 else None), None, bound, None, lower
     if emulator == "nowait":
-        return float(m), float(m), None, None
+        return float(m), float(m), None, None, lower
     if emulator == "utility-stream":
-        def p_sp(horizon):
-            return success_probability(cached_policy(horizon))
+        bound = None if q >= m else (1.0 / _p_sp(m)) * math.exp(q / (m - q)) * q * m
+        return None, q / _p_sp(m), bound, [1.0 / _p_sp(m - i) for i in range(q)], lower
+    return None, None, None, None, lower
 
-        bound = None if q >= m else (1.0 / p_sp(m)) * math.exp(q / (m - q)) * q * m
-        return None, q / p_sp(m), bound, [1.0 / p_sp(m - i) for i in range(q)]
-    return None, None, None, None
+
+def expected_costs(m: int, q: int) -> tuple[float, float]:
+    """Expected (n_sel, n_iter) of q secretary rounds emulating a size-m pool.
+
+    Round i (horizon h = m-i+1) repeats i.i.d. attempts that succeed with
+    p_sp(h); one reveals unless its best key is among the first r_h - 1, so by
+    Wald's identity the round reveals (1 - (r_h - 1)/h) / p_sp(h).  An attempt
+    observes h in-domain elements, and under a history-independent utility
+    E[1/domain mass] = m/h, so the round observes m / p_sp(h) elements.
+    """
+    n_sel = n_iter = 0.0
+    for h in range(m, m - q, -1):
+        p = _p_sp(h)
+        n_sel += (1.0 - (cached_policy(h).threshold - 1) / h) / p
+        n_iter += m / p
+    return n_sel, n_iter
 
 
 def _status(est: MeanEstimate, bound: float | None, lower: bool = False) -> str:
@@ -264,27 +285,30 @@ def _status(est: MeanEstimate, bound: float | None, lower: bool = False) -> str:
     return "OK" if (est.upper >= bound if lower else est.lower <= bound) else "VIOLATION"
 
 
+def _trial_means(cfg: dict, emulator: str, fixture: Fixture,
+                 k: int) -> tuple[list[MeanEstimate], int]:
+    """Estimates of the first ``k`` counters (n_iter, n_sel, then each round's attempts)
+    of ``fixture``'s trials under the named emulator, and the failed-trial count."""
+    columns = [array("q") for _ in range(k)]
+    failures = []
+    for r in run_trials(build_emulator(emulator, fixture), fixture.dist, fixture.q,
+                        cfg["seed"], cfg["trials"], failures, cfg["max_iter"]):
+        for column, value in zip(columns, (r.n_iter, r.n_sel, *(r.round_attempts or ()))):
+            column.append(value)
+    if len(columns[0]) < 2:
+        raise ValueError(f"fewer than two uncapped trials at m={fixture.m}")
+    return [_cli.mean_ci(column) for column in columns], len(failures)
+
+
 def cmd_iter_bench(cfg: dict) -> int:
     fixture = build_fixture(cfg["fixture"], cfg["m"], cfg["q"], cfg["variant"])
-    emulator = build_emulator(cfg["emulator"], fixture)
-    iter_ref, sel_ref, iter_bound, round_refs = _costs(cfg["emulator"], cfg["m"], cfg["q"])
+    iter_ref, sel_ref, iter_bound, round_refs, _ = _costs(cfg["emulator"], fixture)
     series = [("n_iter", iter_ref, iter_bound), ("n_sel", sel_ref, None)]
     series += [(f"round_attempts_{i + 1}", ref, None) for i, ref in enumerate(round_refs or ())]
-    # Per trial, only the integers reported: n_iter, n_sel and each round's attempts.
-    samples = [array("q") for _ in series]
-    failures = []
-    for r in run_trials(emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"],
-                        failures, cfg["max_iter"]):
-        for column, value in zip(samples, (r.n_iter, r.n_sel, *(r.round_attempts or ()))):
-            column.append(value)
-    if len(samples[0]) < 2:
-        print("error: fewer than two uncapped trials", file=sys.stderr)
-        return 1
-    rows = []
-    for (metric, reference, bound), column in zip(series, samples):
-        est = _cli.mean_ci(column)
-        rows.append([metric, est.mean, est.half_width, est.trials, len(failures),
-                     reference, bound, _status(est, bound)])
+    estimates, failed = _trial_means(cfg, cfg["emulator"], fixture, len(series))
+    rows = [[metric, est.mean, est.half_width, est.trials, failed, reference, bound,
+             _status(est, bound)]
+            for (metric, reference, bound), est in zip(series, estimates)]
     _emit(cfg["out"], _meta(cfg), ["metric", "mean", "ci_half", "trials",
                                    "failed_trials", "reference", "bound",
                                    "status"], rows)
@@ -294,8 +318,7 @@ def cmd_iter_bench(cfg: dict) -> int:
 def cmd_secretary_table(cfg: dict) -> int:
     n_max = cfg["n_max"]
     if not 1 <= n_max <= _MAX_TABLE_N:
-        print(f"error: n_max must be in [1, {_MAX_TABLE_N}]", file=sys.stderr)
-        return 1
+        raise ValueError(f"n_max must be in [1, {_MAX_TABLE_N}]")
     rows = policy_table(n_max)
     with _report(cfg["out"], _meta(cfg), ["n", "threshold", "p_sp"]) as fh:
         # _fmt's int and float rules in one % format per batch; no cell needs
@@ -308,27 +331,17 @@ def cmd_secretary_table(cfg: dict) -> int:
 def cmd_lowerbound_demo(cfg: dict) -> int:
     name = cfg["fixture"]
     if name not in ("thm3-good-pool", "thm6-chain"):
-        print("error: lowerbound-demo supports thm3-good-pool and thm6-chain",
-              file=sys.stderr)
-        return 1
+        raise ValueError("lowerbound-demo supports thm3-good-pool and thm6-chain")
     grid = cfg["m_grid"] or [cfg["m"]]
-    q = cfg["q"]
     emulator_name = "gen" if name == "thm3-good-pool" else "utility-stream"
     # Every grid fixture is built before the first trial, so a bad m fails fast.
-    fixtures = [build_fixture(name, m, q, cfg["variant"]) for m in grid]
+    fixtures = [build_fixture(name, m, cfg["q"], cfg["variant"]) for m in grid]
     rows = []
-    for m, fixture in zip(grid, fixtures):
-        failures = []
-        n_iter = array("q", (r.n_iter for r in run_trials(
-            build_emulator(emulator_name, fixture), fixture.dist, q, cfg["seed"],
-            cfg["trials"], failures, cfg["max_iter"])))
-        if len(n_iter) < 2:
-            print(f"error: fewer than two uncapped trials at m={m}", file=sys.stderr)
-            return 1
-        est = _cli.mean_ci(n_iter)
+    for fixture in fixtures:
+        (est,), failed = _trial_means(cfg, emulator_name, fixture, 1)
+        *_, bound = _costs(emulator_name, fixture)
         n = fixture.utility.n if name == "thm6-chain" else None
-        bound = None if n is None else q * n / 8.0
-        rows.append([m, n, est.mean, est.half_width, est.trials, len(failures),
+        rows.append([fixture.m, n, est.mean, est.half_width, est.trials, failed,
                      bound, _status(est, bound, lower=True)])
     _emit(cfg["out"], _meta(cfg), ["m", "alphabet_n", "mean_n_iter", "ci_half",
                                    "trials", "failed_trials", "lower_bound",
@@ -345,7 +358,10 @@ _COMMANDS = {
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    values = [int(x) for x in text.split(",") if x.strip()]
+    if not values:  # else the report would name a grid that never ran
+        raise ValueError(f"no integers in {text!r}")
+    return values
 
 
 #: Every option, as ``key: (type, default, help)``.  ``key`` is its config

@@ -26,6 +26,7 @@ from .core import (
     LabeledPair,
     PoolAlgorithm,
     SourceDistribution,
+    uniform_symbols,
 )
 
 
@@ -291,10 +292,8 @@ class HypothesisClass(NamedTuple):
 
     def source(self, target: int) -> SourceDistribution:
         """Uniform marginal over the domain, responses labeled by hypothesis ``target``."""
-        symbols = tuple(float(s) for s in range(self.n))
-        probs = (1.0 / self.n,) * self.n
-        labels = {base: 1.0 for base in symbols if self.evaluate(target, base)}
-        return SourceDistribution(DiscreteMarginal(symbols, probs), labels, atomless=False)
+        labels = {float(s): 1.0 for s in range(self.n) if self.evaluate(target, float(s))}
+        return uniform_symbols(self.n, response_one=labels)
 
     def complete_pool(self, target: int) -> list[LabeledPair]:
         """One sealed pair per domain element, labeled by hypothesis ``target``."""

@@ -551,6 +551,8 @@ def interact_pool(alg: PoolAlgorithm, elements: Sequence[Element], q: int,
                   respond: Callable[[int], LabeledPair]) -> list[LabeledPair]:
     """Run the q-round pool interaction on ``elements``; ``respond(idx)``, called
     only with a checked index, returns the revealed pair for that selection."""
+    if q > len(elements):
+        raise ValueError(f"budget q={q} exceeds pool size m={len(elements)}")
     history: list[LabeledPair] = []
     selected: set[int] = set()
     for _ in range(q):

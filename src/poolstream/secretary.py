@@ -96,24 +96,6 @@ def cached_policy(n: int) -> SecretaryPolicy:
     return optimal_policy(n)
 
 
-def expected_costs(m: int, q: int) -> tuple[float, float]:
-    """Expected (n_sel, n_iter) of q secretary rounds emulating a size-m pool.
-
-    Round i (horizon h = m-i+1) repeats i.i.d. attempts that succeed with
-    p_sp(h); one reveals unless its best key is among the first r_h - 1, so by
-    Wald's identity the round reveals (1 - (r_h - 1)/h) / p_sp(h).  An attempt
-    observes h in-domain elements, and under a history-independent utility
-    E[1/domain mass] = m/h, so the round observes m / p_sp(h) elements.
-    """
-    n_sel = n_iter = 0.0
-    for h in range(m, m - q, -1):
-        policy = cached_policy(h)
-        p = success_probability(policy)
-        n_sel += (1.0 - (policy.threshold - 1) / h) / p
-        n_iter += m / p
-    return n_sel, n_iter
-
-
 def secpr(policy: SecretaryPolicy, prefix_scores: Sequence) -> bool:
     """Does the optimal policy select the last score of this prefix?
 

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import poolstream as ps
-from poolstream.secretary import expected_costs, optimal_policy, success_probability
+from poolstream.cli import expected_costs
+from poolstream.secretary import optimal_policy, success_probability
 from pool_helpers import (
     BERNOULLI,
     batch,

@@ -156,6 +156,42 @@ class TestEquivTest:
         assert code == 0
 
 
+# Each emulator's cost lookup, as the reports print it, compared with == so
+# that any change to its arithmetic shows.
+@pytest.mark.parametrize("emulator,fixture,m,q,costs", [
+    ("gen", "greedy-max", 4, 1, (16.0, None, 16.0, None, None)),
+    ("gen", "greedy-max", 4, 2, (None, None, 173.9700370213789, None, None)),
+    ("nowait", "greedy-max", 4, 2, (4.0, 4.0, None, None, None)),
+    ("utility-stream", "greedy-max", 4, 2,
+     (None, 4.363636363636364, 47.446373733103336, [2.181818181818182, 2.0], None)),
+    ("utility-stream", "greedy-max", 3, 3, (None, 6.0, None, [2.0, 2.0, 1.0], None)),
+    ("utility-stream", "thm6-chain", 64, 2,
+     (None, 5.3643097567787725, 354.57108898699073,
+      [2.6821548783893863, 2.6812696082863967], 5.75)),
+    ("wait", "greedy-max-atoms", 4, 2, (None, None, None, None, None)),
+    ("first-q", "greedy-max", 4, 2, (None, None, None, None, None)),
+])
+def test_cost_lookup_values(emulator, fixture, m, q, costs):
+    assert cli._costs(emulator, cli.build_fixture(fixture, m, q)) == costs
+
+
+def test_secretary_expected_costs_values():
+    assert cli.expected_costs(10, 5) == (8.20561067918289, 121.63097101974482)
+    assert cli.expected_costs(6, 3) == (4.579420579420581, 40.96303696303697)
+
+
+@pytest.mark.parametrize("command", [
+    ["iter-bench", "--fixture", "greedy-max-discrete", "--emulator", "gen", "--m", "3"],
+    ["lowerbound-demo", "--fixture", "thm6-chain", "--m-grid", "64"]])
+def test_fewer_than_two_trials_is_an_error(command, tmp_path, monkeypatch, capsys):
+    stub_run_trials(monkeypatch, [ps.RunRecord((), n_sel=1, n_iter=9)])
+    out = tmp_path / "out.csv"
+    assert run_cli(command + ["--q", "1", "--trials", "3", "--out", str(out)]) == 1
+    m = command[-1]
+    assert capsys.readouterr().err == f"error: fewer than two uncapped trials at m={m}\n"
+    assert not out.exists()
+
+
 class TestIterBench:
     def test_nowait_constant_columns(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -287,6 +323,22 @@ class TestLowerboundDemo:
         # Only lowerbound-demo reads the grid; elsewhere q is checked against --m.
         assert run_cli(["iter-bench", "--m", "3", "--q", "5", "--m-grid", "8"]) == 1
         assert "q=5 exceeds m=3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_empty_grid_is_refused(self, tmp_path, capsys, via):
+        # Else m alone runs under a header that names the empty grid.
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("m_grid=,\n")
+        out = tmp_path / "demo.csv"
+        grid = {"flag": ["--m-grid", ","], "file": ["--config", str(cfg)]}[via]
+        try:
+            code = run_cli(["lowerbound-demo", "--fixture", "thm6-chain", "--q", "2",
+                            "--m", "8", "--trials", "20", "--out", str(out)] + grid)
+        except SystemExit as exc:  # argparse refuses a flag value on its own
+            code = exc.code
+        assert code == 1
+        assert {"flag": "--m-grid", "file": "'m_grid'"}[via] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_coded_demo_grows_with_m(self, tmp_path):
         out = tmp_path / "demo.csv"
@@ -689,7 +741,8 @@ def load_perfbench_instrument():
 @pytest.mark.parametrize("hook,command", [
     ("Tracer", ["equiv-test", "--fixture", "greedy-max-atoms", "--emulator", "wait",
                 "--tv-threshold", "1"]),
-    ("TrialHook", ["iter-bench", "--fixture", "greedy-max-atoms", "--emulator", "wait"])])
+    ("TrialHook", ["iter-bench", "--fixture", "greedy-max-atoms", "--emulator", "wait"]),
+    ("Tracer", ["iter-bench", "--fixture", "greedy-max", "--emulator", "utility-stream"])])
 def test_perfbench_hooks_patch_and_restore_the_package(hook, command, tmp_path, monkeypatch):
     # The benchmark patches package attributes by name; each must exist,
     # reach a run, and be the original object again after uninstall.
@@ -715,6 +768,10 @@ def test_perfbench_hooks_patch_and_restore_the_package(hook, command, tmp_path, 
     if hook == "Tracer":
         assert hooks.counts[0]["trials"] == 2
         assert hooks.rep_totals(0)["emulators.run"][0] == 2
+        if "utility-stream" in command:
+            # More than the emulator's q per trial: the cost lookup's calls
+            # through cli.cached_policy are counted too.
+            assert hooks.counts[0]["secretary.cached_policy"] > 2 * 2
     else:
         assert hooks.attempted == len(hooks.latencies_ns) == 2
 

@@ -56,6 +56,14 @@ def test_output_pairs_are_the_revealed_pairs(emulator, fixture, m):
         assert {id(pair) for pair in output} <= {id(pair) for pair in source.revealed}
 
 
+@pytest.mark.parametrize("emulator", [ps.WaitEmulator, ps.NowaitEmulator])
+def test_pool_replay_refuses_a_budget_above_the_pool(emulator):
+    # As the rejection and secretary emulators do, before any pool call.
+    source = StreamSource(ps.uniform_symbols(3), ps.trial_rng(0, 0))
+    with pytest.raises(ValueError, match=r"^budget q=3 exceeds pool size m=2$"):
+        emulator(greedy(2, 3, tie_break="index")).run(source, 3)
+
+
 class TestWaitEmulator:
     def test_single_atom_recurs_immediately(self):
         # Pool of one repeated symbol: observe it, then the very next
