@@ -3,7 +3,8 @@
 
 A thin driver over the ``poolstream`` CLI.  Trial counts default to a quick
 desk-scale pass; raise --trials for publication-grade noise floors.  Each
-report's line gives its wall seconds, and the last line the total.
+report's line gives its wall seconds, and the last line the total.  Exit 1
+if a command errs, or if the first-q negative control does not FAIL.
 """
 
 import argparse
@@ -39,25 +40,28 @@ BENCH_GRID = [
 ]
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="results")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = []
     start = time.perf_counter()
 
-    def run(tag, argv):
+    def run(tag, argv, control=False):
+        """Run one report; the negative ``control`` must FAIL."""
         began = time.perf_counter()
         code = cli.main(argv)
         seconds = time.perf_counter() - began
         marker = {0: "ok", 2: "FAIL rows"}.get(code, f"exit {code}")
-        print(f"{tag:55s} {marker:10s} {seconds:8.2f} s")
-        if code not in (0, 2):
+        if control:
+            marker = "expected FAIL" if code == 2 else f"{marker}, not FAIL"
+        print(f"{tag:55s} {marker:14s} {seconds:8.2f} s")
+        if code not in ((2,) if control else (0, 2)):
             failures.append(tag)
         return code
 
@@ -65,7 +69,8 @@ def main():
         tag = f"equiv-{fixture}-{emulator}-m{m}q{q}"
         run(tag, ["equiv-test", "--fixture", fixture, "--emulator", emulator,
                   "--m", str(m), "--q", str(q), "--trials", str(args.trials),
-                  "--seed", str(args.seed), "--out", str(out_dir / f"{tag}.csv")])
+                  "--seed", str(args.seed), "--out", str(out_dir / f"{tag}.csv")],
+            control=emulator == "first-q")
 
     for fixture, emulator, m, q in BENCH_GRID:
         tag = f"bench-{fixture}-{emulator}-m{m}q{q}"
@@ -85,9 +90,9 @@ def main():
                             "--seed", str(args.seed),
                             "--out", str(out_dir / "lowerbound-thm3.csv")])
 
-    print(f"{'total':55s} {'':10s} {time.perf_counter() - start:8.2f} s")
+    print(f"{'total':55s} {'':14s} {time.perf_counter() - start:8.2f} s")
     if failures:
-        print("unexpected errors:", ", ".join(failures))
+        print("unexpected exits:", ", ".join(failures))
         return 1
     print(f"reports written to {out_dir}/")
     return 0

@@ -27,9 +27,7 @@ _EXPORTS = {
         "PoolAlgorithm", "RunRecord", "SourceDistribution", "StreamEmulator",
         "StreamSource", "TieDetected", "run_stream", "trial_rng", "uniform_interval",
         "uniform_symbols"),
-    "secretary": (
-        "DuplicateScore", "InvalidHorizon", "SecretaryPolicy", "optimal_policy",
-        "policy_table", "secpr", "success_probability"),
+    "secretary": ("InvalidHorizon", "SecretaryPolicy", "optimal_policy", "policy_table"),
     "emulators": (
         "FirstQEmulator", "GreedyUtilityPool", "NowaitEmulator", "RejectionEmulator",
         "SecretaryEmulator", "UtilityFunction", "WaitEmulator"),

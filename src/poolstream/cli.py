@@ -28,7 +28,7 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from . import DEFAULT_MAX_ITER
-from .secretary import cached_policy, policy_table, success_probability
+from .secretary import cached_policy, policy_table
 
 if TYPE_CHECKING:
     from .core import Element, PoolAlgorithm, RunRecord, SourceDistribution, StreamEmulator
@@ -157,6 +157,8 @@ def build_emulator(name: str, fixture: Fixture) -> StreamEmulator:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, list):  # a grid, written as its flag takes it
+        return ",".join(map(str, value))
     return "" if value is None else str(value)
 
 
@@ -234,11 +236,6 @@ def cmd_equiv_test(cfg: dict) -> int:
     return 2 if status == "FAIL" else 0
 
 
-def _p_sp(horizon: int) -> float:
-    """The optimal secretary rule's success probability at ``horizon``."""
-    return success_probability(cached_policy(horizon))
-
-
 def _costs(emulator: str, fixture: Fixture) -> tuple:
     """``(n_iter reference, n_sel reference, n_iter upper bound, per-round attempt
     references, n_iter lower bound: Theorem 6's q·n/8 on the chain)``; None is blank."""
@@ -250,8 +247,9 @@ def _costs(emulator: str, fixture: Fixture) -> tuple:
     if emulator == "nowait":
         return float(m), float(m), None, None, lower
     if emulator == "utility-stream":
-        bound = None if q >= m else (1.0 / _p_sp(m)) * math.exp(q / (m - q)) * q * m
-        return None, q / _p_sp(m), bound, [1.0 / _p_sp(m - i) for i in range(q)], lower
+        p_sp = [cached_policy(m - i).p_sp for i in range(q)]
+        bound = None if q >= m else (1.0 / p_sp[0]) * math.exp(q / (m - q)) * q * m
+        return None, q / p_sp[0], bound, [1.0 / p for p in p_sp], lower
     return None, None, None, None, lower
 
 
@@ -266,9 +264,9 @@ def expected_costs(m: int, q: int) -> tuple[float, float]:
     """
     n_sel = n_iter = 0.0
     for h in range(m, m - q, -1):
-        p = _p_sp(h)
-        n_sel += (1.0 - (cached_policy(h).threshold - 1) / h) / p
-        n_iter += m / p
+        _, threshold, p_sp = cached_policy(h)
+        n_sel += (1.0 - (threshold - 1) / h) / p_sp
+        n_iter += m / p_sp
     return n_sel, n_iter
 
 
@@ -358,9 +356,12 @@ _COMMANDS = {
 
 
 def _int_list(text: str) -> list[int]:
-    values = [int(x) for x in text.split(",") if x.strip()]
+    try:
+        values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
     if not values:  # else the report would name a grid that never ran
-        raise ValueError(f"no integers in {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
 
 
@@ -408,9 +409,11 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 out[key] = _OPTIONS[key][0](value.strip())
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                # Only _int_list's refusal says more than int() or float() would.
+                why = f" ({exc})" if isinstance(exc, argparse.ArgumentTypeError) else ""
                 raise ValueError(f"{path}:{lineno}: bad value {value.strip()!r} "
-                                 f"for key {key!r}") from None
+                                 f"for key {key!r}{why}") from None
     return out
 
 

@@ -23,7 +23,6 @@ from .core import (
     EmulationError,
     History,
     IntervalMarginal,
-    LabeledPair,
     PoolAlgorithm,
     SourceDistribution,
     uniform_symbols,
@@ -212,9 +211,7 @@ class ChainFixture(NamedTuple):
     """Chain utility plus its response-law family over a uniform alphabet.
 
     ``dists[0]`` responds 0 everywhere; ``dists[t]`` responds 1 exactly on
-    symbol t.  ``expected_output(t)`` is the symbol set the greedy pool
-    algorithm must select under ``dists[t]`` on any pool containing symbols
-    1..2q-1.
+    symbol t.
     """
 
     utility: ChainUtility
@@ -222,13 +219,6 @@ class ChainFixture(NamedTuple):
     m: int
     q: int
     n: int
-
-    def expected_output(self, t: int) -> frozenset[int]:
-        if not 0 <= t <= self.q:
-            raise ValueError(f"t={t} outside [0, {self.q}]")
-        if t == 0:
-            return frozenset(range(1, self.q + 1))
-        return frozenset(range(1, t + 1)) | frozenset(range(self.q + t, 2 * self.q))
 
 
 def chain_fixture(m: int, q: int) -> ChainFixture:
@@ -294,11 +284,6 @@ class HypothesisClass(NamedTuple):
         """Uniform marginal over the domain, responses labeled by hypothesis ``target``."""
         labels = {float(s): 1.0 for s in range(self.n) if self.evaluate(target, float(s))}
         return uniform_symbols(self.n, response_one=labels)
-
-    def complete_pool(self, target: int) -> list[LabeledPair]:
-        """One sealed pair per domain element, labeled by hypothesis ``target``."""
-        return [LabeledPair(Element(float(s), 0.0), self.evaluate(target, float(s)))
-                for s in range(self.n)]
 
 
 def hypothesis_class(q: int, T: int, n: int) -> HypothesisClass:

@@ -1,6 +1,7 @@
 """Pool-side references that only the tests use: running a pool algorithm
-on a sealed pool, drawing pools, exact laws of small cases, and the greedy
-pool, response law and trial batch that several test modules share."""
+on a sealed pool, drawing pools, exact laws of small cases, the secretary
+stopping rule, and the greedy pool, response law and trial batch that
+several test modules share."""
 
 from __future__ import annotations
 
@@ -10,9 +11,15 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from poolstream.cli import run_trials
-from poolstream.constructions import BitIdentificationPool, HypothesisClass, InvalidShape
+from poolstream.constructions import (
+    BitIdentificationPool,
+    ChainFixture,
+    HypothesisClass,
+    InvalidShape,
+)
 from poolstream.core import (
     DiscreteMarginal,
+    Element,
     History,
     LabeledPair,
     PoolAlgorithm,
@@ -23,7 +30,7 @@ from poolstream.core import (
     interact_pool,
 )
 from poolstream.emulators import GreedyUtilityPool
-from poolstream.secretary import SecretaryPolicy, _validate_policy
+from poolstream.secretary import InvalidHorizon, SecretaryPolicy
 from poolstream.stats import OutcomeDistribution, RankPattern
 
 #: P(response 1) per symbol of the three-symbol response fixtures.
@@ -70,6 +77,22 @@ def run_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair], q: int) -> RunReco
                                          pool.__getitem__)), q, m, None)
 
 
+def complete_pool(hclass: HypothesisClass, target: int) -> list[LabeledPair]:
+    """One sealed pair per domain element, labeled by hypothesis ``target``."""
+    return [LabeledPair(Element(float(s), 0.0), hclass.evaluate(target, float(s)))
+            for s in range(hclass.n)]
+
+
+def expected_output(fixture: ChainFixture, t: int) -> frozenset[int]:
+    """The symbol set the greedy pool algorithm must select under
+    ``fixture.dists[t]`` on any pool containing symbols 1..2q-1."""
+    if not 0 <= t <= fixture.q:
+        raise ValueError(f"t={t} outside [0, {fixture.q}]")
+    if t == 0:
+        return frozenset(range(1, fixture.q + 1))
+    return frozenset(range(1, t + 1)) | frozenset(range(fixture.q + t, 2 * fixture.q))
+
+
 def identify_bits(hclass: HypothesisClass, history: History) -> int:
     """Decode the target hypothesis index from a full learner history."""
     index = 0
@@ -96,11 +119,42 @@ def pool_bit_learner(hclass: HypothesisClass, pool: Sequence[LabeledPair],
 def success_probability_exact(policy: SecretaryPolicy) -> Fraction:
     """phi(threshold) as an exact rational (intended for modest horizons)."""
     n, r = policy.n, policy.threshold
-    _validate_policy(policy)
+    if n < 1 or not 1 <= r <= n:
+        raise InvalidHorizon(f"invalid policy {policy}")
     if r == 1:
         return Fraction(1, n)
     tail = sum((Fraction(1, j - 1) for j in range(r, n + 1)), Fraction(0))
     return Fraction(r - 1, n) * tail
+
+
+class DuplicateScore(ValueError):
+    """The no-ties assumption was violated by an observed score sequence."""
+
+
+def secpr(policy: SecretaryPolicy, prefix_scores: Sequence) -> bool:
+    """Does the optimal policy select the last score of this prefix?
+
+    True iff the prefix length k is at least the threshold, the final score is
+    a running maximum, and the policy had not already stopped at an earlier
+    running maximum past the observation phase.  Scores may be any mutually
+    comparable keys; equal scores violate the no-ties assumption.
+    """
+    k = len(prefix_scores)
+    if not 1 <= k <= policy.n:
+        raise InvalidHorizon(f"prefix length {k} outside [1, {policy.n}]")
+    if len(set(prefix_scores)) != k:
+        raise DuplicateScore("tied scores in secretary prefix")
+    r = policy.threshold
+    if k < r:
+        return False
+    best = None
+    for j, score in enumerate(prefix_scores, start=1):
+        is_record = best is None or score > best
+        if is_record:
+            best = score
+            if j >= r:
+                return j == k
+    return False
 
 
 def first_q_exact_distribution(q: int) -> OutcomeDistribution:

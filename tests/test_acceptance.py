@@ -15,10 +15,12 @@ import pytest
 
 import poolstream as ps
 from poolstream.cli import expected_costs
-from poolstream.secretary import optimal_policy, success_probability
+from poolstream.secretary import optimal_policy
 from pool_helpers import (
     BERNOULLI,
     batch,
+    complete_pool,
+    expected_output,
     first_q_exact_distribution,
     greedy,
     pool_bit_learner,
@@ -105,7 +107,7 @@ def test_criterion_1_secretary_oracle_equivalence():
 def test_criterion_2_secretary_asymptotics():
     start = time.time()
     policy = optimal_policy(10**4)
-    p = success_probability(policy)
+    p = policy.p_sp
     inv_e = 1.0 / math.e
     gap_p = abs(p - inv_e)
     gap_t = abs(policy.threshold / policy.n - inv_e)
@@ -183,7 +185,7 @@ def test_criterion_5_selection_formula(utility_batches):
     for m, q in ((4, 2), (10, 5)):
         records = utility_batches[(m, q)]
         mean_sel = float(np.mean([r.n_sel for r in records]))
-        stated = q / success_probability(optimal_policy(m))
+        stated = q / optimal_policy(m).p_sp
         stated_dev = abs(mean_sel - stated) / stated
         if stated_dev <= 0.03:
             lines.append(f"(m={m},q={q}) flat-horizon formula holds: "
@@ -197,7 +199,7 @@ def test_criterion_5_selection_formula(utility_batches):
         per_round_ok = True
         log = []
         for i in range(1, q + 1):
-            expected = 1.0 / success_probability(optimal_policy(m - i + 1))
+            expected = 1.0 / optimal_policy(m - i + 1).p_sp
             dev = abs(attempts[i - 1] - expected) / expected
             per_round_ok = per_round_ok and dev <= 0.03
             log.append(f"round {i}: attempts={attempts[i - 1]:.4f} "
@@ -223,8 +225,7 @@ def test_criterion_6_utility_iteration_bound(utility_batches):
     for m, q in ((4, 2), (10, 5)):
         records = utility_batches[(m, q)]
         est = ps.mean_ci([float(r.n_iter) for r in records])
-        bound = (q * m * math.exp(q / (m - q))
-                 / success_probability(optimal_policy(m)))
+        bound = q * m * math.exp(q / (m - q)) / optimal_policy(m).p_sp
         ok = ok and est.upper < bound
         details.append(f"(m={m},q={q}) mean={est.mean:.2f}+-{est.half_width:.2f} "
                        f"bound={bound:.2f}")
@@ -298,7 +299,7 @@ def test_criterion_9_constructions():
         T = max(1, math.ceil(math.log2(q)))
         hc = ps.hypothesis_class(q, T, q * (1 << T))
         for target in range(1 << q):
-            got, record = pool_bit_learner(hc, hc.complete_pool(target), q)
+            got, record = pool_bit_learner(hc, complete_pool(hc, target), q)
             ok = ok and got == target and record.n_sel == q
     # permutation coding is uniform for sizes 2..4 within 0.01 per bin
     for size in (2, 3, 4):
@@ -324,7 +325,7 @@ def test_criterion_9_constructions():
                     for i, b in enumerate(bases)]
             got = frozenset(int(p.element.base)
                             for p in run_pool(alg, pool, q).output)
-            ok = ok and got == fixture.expected_output(t)
+            ok = ok and got == expected_output(fixture, t)
     report(9, ok, "bit learner exhaustive (q <= 8), permutation coding uniform, "
                   "chain outputs forced (q <= 5)")
 

@@ -337,8 +337,19 @@ class TestLowerboundDemo:
         except SystemExit as exc:  # argparse refuses a flag value on its own
             code = exc.code
         assert code == 1
-        assert {"flag": "--m-grid", "file": "'m_grid'"}[via] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert {"flag": "--m-grid", "file": "'m_grid'"}[via] in err
+        assert "expected comma-separated integers, got ','" in err
+        assert "_int_list" not in err
         assert not out.exists()
+
+    def test_grid_flag_says_what_a_grid_holds(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["lowerbound-demo", "--fixture", "thm6-chain", "--m-grid", "4,x"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --m-grid: expected comma-separated integers, got '4,x'" in err
+        assert "_int_list" not in err
 
     def test_coded_demo_grows_with_m(self, tmp_path):
         out = tmp_path / "demo.csv"
@@ -456,7 +467,11 @@ class TestConfigAndErrors:
         cfg.write_text(f"seed=3\n{line}\n")
         key, value = line.split("=")
         assert run_cli(["iter-bench", "--config", str(cfg), "--trials", "20"]) == 1
-        assert f"{cfg}:2: bad value {value!r} for key {key!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: bad value {value!r} for key {key!r}" in err
+        if key == "m_grid":
+            assert f"(expected comma-separated integers, got {value!r})" in err
+            assert "_int_list" not in err
 
 
 # A value for every option but ``out``, each valid for the small run it is
@@ -646,7 +661,7 @@ GOLDEN_CSV = {
                              "854ae424a3e92edf521f29749a780cbd821528ba2233d0c46f0ab90a45352a4b"),
     "lowerbound-demo": (["lowerbound-demo", "--fixture", "thm6-chain", "--q", "2",
                          "--m-grid", "8,16,24", "--trials", "200", "--seed", "1"],
-                        "391440ee21140e842f5d981f345ef49b61ed5766189c6aae422452cb2434e627"),
+                        "2c18e716cb6b03f46f40030db423321d941b7b36ad4c4c9deade006432edd78f"),
 }
 
 
@@ -662,25 +677,62 @@ def test_golden_csv_digest(name, tmp_path):
 # seed 11, taken in name order as name + NUL + bytes.  It pins the cells no
 # GOLDEN_CSV covers: the gen, nowait and ex1 wait iter-bench rows and the
 # thm3 lowerbound-demo rows.
-GRID_DIGEST = "7a38be521044338c26020b5e5db004a92a2fdc924537472f5ba52e020c52cf05"
+GRID_DIGEST = "969de297783e602a2426838cafd92925b83add523ae7016f21079beec7a51a35"
 
 
-def test_experiment_grid_digest(tmp_path):
-    root = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+
+
+@pytest.fixture(scope="module")
+def grid_reports(tmp_path_factory):
+    """The reports of the experiment grid at 200 trials, seed 11, in name order."""
+    out_dir = tmp_path_factory.mktemp("grid")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        p for p in (str(SCRIPT.parents[1] / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_all_experiments.py"), "--trials",
-         "200", "--seed", "11", "--out-dir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=600)
+        [sys.executable, str(SCRIPT), "--trials", "200", "--seed", "11", "--out-dir",
+         str(out_dir)], env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    reports = sorted(tmp_path.iterdir(), key=lambda p: p.name)
-    assert len(reports) == 21
+    return sorted(out_dir.iterdir(), key=lambda p: p.name)
+
+
+def test_experiment_grid_digest(grid_reports):
+    assert len(grid_reports) == 21
     digest = hashlib.sha256()
-    for path in reports:
+    for path in grid_reports:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == GRID_DIGEST
+
+
+def test_every_grid_report_replays_from_its_metadata(grid_reports, tmp_path):
+    # Each report's ``# key=value`` lines, less the subcommand, as a config
+    # file: the run they name writes the same bytes, and exits 2 exactly when
+    # a row of them FAILs or VIOLATEs, as the first-q control's does.
+    for path in grid_reports:
+        lines = path.read_text().splitlines()
+        meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        cells = {cell for line in lines for cell in line.split(",")}
+        cfg = tmp_path / f"{path.stem}.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in meta.items() if k != "subcommand"))
+        out = tmp_path / path.name
+        code = run_cli([meta["subcommand"], "--config", str(cfg), "--out", str(out)])
+        assert code == (2 if cells & {"FAIL", "VIOLATION"} else 0), path.name
+        assert out.read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("control_code,script_code", [(2, 0), (0, 1)])
+def test_grid_script_requires_the_negative_control_to_fail(
+        monkeypatch, tmp_path, capsys, control_code, script_code):
+    spec = importlib.util.spec_from_file_location("run_all_experiments", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script.cli, "main",
+                        lambda argv: control_code if "first-q" in argv else 0)
+    assert script.main(["--out-dir", str(tmp_path)]) == script_code
+    out = capsys.readouterr().out.splitlines()
+    line, = [s for s in out if s.startswith("equiv-greedy-max-first-q")]
+    assert ("expected FAIL" if control_code == 2 else "ok, not FAIL") in line
 
 
 def run_fresh(args, **kwargs):

@@ -643,7 +643,7 @@ def test_package_loads_each_submodule_on_first_use():
         "    ps.no_such_name\n"
         "except AttributeError as exc:\n"
         "    print(exc)"
-    ).splitlines() == ["poolstream", "60",
+    ).splitlines() == ["poolstream", "57",
                        "module 'poolstream' has no attribute 'no_such_name'"]
 
 
@@ -679,7 +679,8 @@ RECORD_SAMPLES = [
      "ChainFixture(utility=None, dists=(), m=8, q=2, n=2)"),
     (lambda: ps.hypothesis_class(1, 1, 1), "T",
      "HypothesisClass(q=1, T=1, n=1, kj_to_base={(1, 0): 0.0}, base_to_kj={0.0: (1, 0)})"),
-    (lambda: ps.SecretaryPolicy(10, 4), "threshold", "SecretaryPolicy(n=10, threshold=4)"),
+    (lambda: ps.optimal_policy(10), "threshold",
+     "SecretaryPolicy(n=10, threshold=4, p_sp=0.3986904761904761)"),
     (lambda: cli.Fixture("greedy-max", 4, 2, ps.uniform_interval(), None, None), "dist",
      "Fixture(name='greedy-max', m=4, q=2, dist=SourceDistribution(marginal=IntervalMarginal("
      "pieces=((0.0, 1.0, 1.0),)), response_one=0.0, atomless=True), pool_alg=None, "

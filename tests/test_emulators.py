@@ -8,7 +8,7 @@ import pytest
 import poolstream as ps
 from poolstream import cli
 from poolstream.core import StreamSource
-from pool_helpers import BERNOULLI, batch, greedy, point_mass, run_pool
+from pool_helpers import BERNOULLI, batch, greedy, point_mass, run_pool, secpr
 
 
 class FakeSource:
@@ -245,7 +245,7 @@ class TestSecretaryEmulator:
                     mismatches.append(scores)
                     continue
                 revealed = [k for k in source.reveal_positions if k <= n]
-                fires = [k for k in range(1, n + 1) if ps.secpr(policy, scores[:k])]
+                fires = [k for k in range(1, n + 1) if secpr(policy, scores[:k])]
                 won = bool(fires) and scores[fires[0] - 1] == n
                 if revealed != fires or source.round_attempts != (1 if won else 2,):
                     mismatches.append(scores)

@@ -8,16 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolstream.secretary import (
-    DuplicateScore,
-    InvalidHorizon,
-    SecretaryPolicy,
-    optimal_policy,
-    policy_table,
-    secpr,
-    success_probability,
-)
-from pool_helpers import success_probability_exact
+from poolstream.secretary import InvalidHorizon, SecretaryPolicy, optimal_policy, policy_table
+from pool_helpers import DuplicateScore, secpr, success_probability_exact
 
 
 def simulate_threshold_rule(ranks, threshold):
@@ -69,15 +61,24 @@ def test_success_probability_float_agrees_with_exact():
     for n in (1, 2, 3, 5, 10, 40, 100):
         policy = optimal_policy(n)
         exact = success_probability_exact(policy)
-        assert success_probability(policy) == pytest.approx(float(exact), abs=1e-12)
+        assert policy.p_sp == pytest.approx(float(exact), abs=1e-12)
 
 
-def test_success_probability_float_agrees_with_exact_at_every_threshold():
-    for n in range(1, 41):
-        for r in range(1, n + 1):
-            policy = SecretaryPolicy(n, r)
-            exact = success_probability_exact(policy)
-            assert success_probability(policy) == pytest.approx(float(exact), abs=1e-12)
+# (n, threshold, p_sp), where p_sp is the float phi(threshold) summed outside
+# the table, one term 1.0 / j at a time: the table's own sum must match it
+# bit for bit.  n = 73757 is the float test's closest row.
+PINNED_POLICIES = [
+    (1, 1, 1.0), (2, 1, 0.5), (3, 2, 0.5), (10, 4, 0.3986904761904761),
+    (100, 38, 0.3710427787126434), (1000, 369, 0.36819561720170474),
+    (73757, 27135, 0.3678837263098), (100000, 36789, 0.3678826017905626),
+]
+
+
+@pytest.mark.parametrize("n,threshold,p_sp", PINNED_POLICIES)
+def test_policy_is_the_last_table_row(n, threshold, p_sp):
+    policy = optimal_policy(n)
+    assert policy == (n, threshold, p_sp)
+    assert policy == SecretaryPolicy(*list(policy_table(n))[-1])
 
 
 def downward_tail_threshold(n):
@@ -97,7 +98,7 @@ def test_thresholds_equal_downward_tail_sum_search(n):
 def test_asymptotics_at_ten_thousand():
     policy = optimal_policy(10**4)
     inv_e = 1.0 / math.e
-    assert abs(success_probability(policy) - inv_e) < 0.01
+    assert abs(policy.p_sp - inv_e) < 0.01
     assert abs(policy.threshold / policy.n - inv_e) < 0.01
 
 
@@ -108,7 +109,7 @@ def test_table_monotone_and_bounded_below():
             assert p <= prev + 1e-12
             assert p > 1.0 / math.e
         if n <= 128:
-            exact = success_probability_exact(SecretaryPolicy(n, threshold))
+            exact = success_probability_exact(SecretaryPolicy(n, threshold, p))
             assert abs(p - float(exact)) <= 1e-12
         prev = p
 
@@ -141,9 +142,9 @@ def test_non_integer_table_horizon_is_rejected():
 
 
 def test_invalid_horizon():
-    with pytest.raises(InvalidHorizon):
+    with pytest.raises(InvalidHorizon, match=r"^horizon must be a positive integer, got 0$"):
         optimal_policy(0)
-    with pytest.raises(InvalidHorizon):
+    with pytest.raises(InvalidHorizon, match=r"got -3$"):
         optimal_policy(-3)
 
 
@@ -155,12 +156,14 @@ class TestSecPr:
         assert secpr(policy, (0.9, 0.2)) is False
 
     def test_observation_phase_never_selects(self):
-        policy = SecretaryPolicy(5, 3)
+        policy = optimal_policy(5)
+        assert policy.threshold == 3
         assert secpr(policy, (0.9,)) is False
         assert secpr(policy, (0.1, 0.9)) is False
 
     def test_does_not_fire_after_earlier_record(self):
-        policy = SecretaryPolicy(4, 2)
+        policy = optimal_policy(4)
+        assert policy.threshold == 2
         # Index 2 is a record past the threshold, so the rule stops there.
         assert secpr(policy, (0.1, 0.5)) is True
         assert secpr(policy, (0.1, 0.5, 0.7)) is False
@@ -170,11 +173,11 @@ class TestSecPr:
 
     def test_duplicate_scores_rejected(self):
         with pytest.raises(DuplicateScore):
-            secpr(SecretaryPolicy(3, 2), (0.5, 0.5))
+            secpr(optimal_policy(3), (0.5, 0.5))
 
     def test_prefix_length_bounds(self):
         with pytest.raises(InvalidHorizon):
-            secpr(SecretaryPolicy(2, 1), (0.1, 0.2, 0.3))
+            secpr(optimal_policy(2), (0.1, 0.2, 0.3))
 
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=8,
                     unique=True),
