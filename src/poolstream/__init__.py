@@ -40,7 +40,7 @@ _EXPORTS = {
         "DiscreteProjection", "InsufficientSamples", "MeanEstimate",
         "OutcomeDistribution", "RankPattern", "TooLargeToEnumerate",
         "empirical_distribution", "exact_pool_distribution", "mean_ci", "tv_distance",
-        "two_region_exact_distribution", "two_region_rank_pattern"),
+        "two_region_exact_distribution"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

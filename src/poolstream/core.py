@@ -102,7 +102,7 @@ class LabeledPair(NamedTuple):
 
 History = Sequence[LabeledPair]
 
-ResponseLawLike = Union[float, Mapping, Callable[[float], float]]
+ResponseLawLike = Union[float, Mapping]
 
 
 # The three checked records subclass a functional NamedTuple, because a
@@ -155,10 +155,9 @@ class SourceDistribution(NamedTuple("SourceDistribution", [
         ("response_one", ResponseLawLike), ("atomless", bool)])):
     """Joint law of (element, response) pairs drawn i.i.d. by a source.
 
-    ``response_one`` gives P[response = 1 | base] as a constant, a mapping from
-    base symbol (missing keys mean 0), or a callable; all but a callable are
-    checked up front to lie in [0, 1], and a callable's value each time it is
-    used.  ``atomless`` controls the tie-break augmentation: when set, no
+    ``response_one`` gives P[response = 1 | base] as a constant or a mapping
+    from base symbol (missing keys mean 0), checked up front to lie in
+    [0, 1].  ``atomless`` controls the tie-break augmentation: when set, no
     single element value has positive probability.  Unlike the other records
     it has an instance dict, which holds the two cached decode plans.
     """
@@ -168,12 +167,11 @@ class SourceDistribution(NamedTuple("SourceDistribution", [
     def __new__(cls, marginal: DiscreteMarginal | IntervalMarginal,
                 response_one: ResponseLawLike = 0.0, atomless: bool = False):
         law = response_one
-        if isinstance(law, (int, float, Mapping)):
-            for p in law.values() if isinstance(law, Mapping) else (law,):
-                if not 0.0 <= float(p) <= 1.0:
-                    raise ValueError(f"response probability {p} outside [0, 1]")
-        elif not callable(law):
-            raise TypeError(f"response law is no number, mapping or callable: {law!r}")
+        if not isinstance(law, (int, float, Mapping)):
+            raise TypeError(f"response law is no number or mapping: {law!r}")
+        for p in law.values() if isinstance(law, Mapping) else (law,):
+            if not 0.0 <= float(p) <= 1.0:
+                raise ValueError(f"response probability {p} outside [0, 1]")
         return super().__new__(cls, marginal, response_one, atomless)
 
     def __getstate__(self) -> None:
@@ -183,13 +181,6 @@ class SourceDistribution(NamedTuple("SourceDistribution", [
     @property
     def is_discrete(self) -> bool:
         return isinstance(self.marginal, DiscreteMarginal)
-
-    @property
-    def constant_response(self) -> float | None:
-        """The response probability if it does not depend on the base, else None."""
-        if isinstance(self.response_one, (int, float)):
-            return float(self.response_one)
-        return None
 
     @cached_property
     def sampling_table(self) -> tuple:
@@ -211,7 +202,8 @@ class SourceDistribution(NamedTuple("SourceDistribution", [
         masses = marginal.probs if discrete else [mass for _, _, mass in marginal.pieces]
         cum = list(accumulate(masses))
         top = max(i for i, mass in enumerate(masses) if mass > 0)
-        width = 1 + self.atomless + (self.constant_response not in (0.0, 1.0))
+        law = self.response_one
+        width = 1 + self.atomless + (isinstance(law, Mapping) or law not in (0, 1))
         pieces = None if discrete else [
             (lo, c - mass, mass, hi - lo) for (lo, hi, mass), c in zip(marginal.pieces, cum)]
         return (marginal.symbols if discrete else None), cum, pieces, width, top
@@ -221,19 +213,11 @@ class SourceDistribution(NamedTuple("SourceDistribution", [
         """P[response = 1 | base] as a function of the base, with the law's
         kind tested once."""
         law = self.response_one
-        const = self.constant_response
-        if const is not None:
-            return lambda base: const
         if isinstance(law, Mapping):
             get = law.get
             return lambda base: float(get(base, 0.0))
-
-        def checked(base: float) -> float:
-            p = float(law(base))
-            if not 0.0 <= p <= 1.0:  # NaN fails too
-                raise ValueError(f"response probability {p} for base {base} outside [0, 1]")
-            return p
-        return checked
+        const = float(law)
+        return lambda base: const
 
 
 def uniform_symbols(k: int, *, atomless: bool = False,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import NamedTuple, Union
 
 from .core import (
@@ -35,7 +35,8 @@ from .core import (
     SourceDistribution,
     _checked_select,
 )
-from .constructions import CodedPoolAlgorithm, region_of, unit_from_permutation
+from .constructions import (CodedPoolAlgorithm, region_of, two_region_marginal,
+                            unit_from_permutation)
 
 _ENUM_BUDGET = 10**7
 
@@ -205,6 +206,8 @@ def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
     single-interval marginal is one pool of m ranked representatives, valid
     for order-driven algorithms with a base-independent response law.
     """
+    if q > m:
+        raise ValueError(f"budget q={q} exceeds pool size m={m}")
     marginal = dist.marginal
     if isinstance(marginal, DiscreteMarginal):
         k = len(marginal.symbols)
@@ -219,20 +222,14 @@ def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
         raise TooLargeToEnumerate(
             "multi-piece interval marginals are not purely order-driven; "
             "use a fixture-specific enumerator")
-    p_one = dist.constant_response
-    if p_one is None:
+    if isinstance(dist.response_one, Mapping):
         raise TooLargeToEnumerate(
             "order-statistics enumeration needs a base-independent response law")
     if 2 ** q > _ENUM_BUDGET:
         raise TooLargeToEnumerate(f"2^{q} responses exceed the enumeration budget")
     lo, hi, _ = marginal.pieces[0]
     reps = [Element(lo + (r + 1.0) / (m + 1.0) * (hi - lo), 0.0) for r in range(m)]
-    return _exact_law(alg, [(reps, 1.0)], q, lambda _b: p_one, RankPattern())
-
-
-def two_region_rank_pattern() -> RankPattern:
-    """Canonicalizer matching :func:`two_region_exact_distribution`."""
-    return RankPattern(bucket=region_of)
+    return _exact_law(alg, [(reps, 1.0)], q, dist.prob_one, RankPattern())
 
 
 def two_region_exact_distribution(m: int, q: int,
@@ -242,18 +239,19 @@ def two_region_exact_distribution(m: int, q: int,
     The algorithm's canonical outcome depends on the pool only through the
     number of high elements and, when exactly one is high, the permutation it
     encodes; both are enumerable (binomial weights times 1/(m-1)! per
-    permutation).  The response law must be base-independent.
+    permutation).  The response law must be base-independent: a number.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if not 0.0 <= response_one <= 1.0:
-        raise ValueError("response_one must lie in [0, 1]")
+    dist = two_region_marginal(m, float(response_one))
+    (_, _, p_low), (_, _, p_high) = dist.marginal.pieces
+    alg = CodedPoolAlgorithm(m, q)
+    # (m-1)! * 2^q in logs, so that a huge m is refused at once.
+    if math.lgamma(m) + q * math.log(2) > math.log(_ENUM_BUDGET):
+        raise TooLargeToEnumerate(
+            f"{m - 1}! coded pools x 2^{q} responses exceeds the enumeration budget")
 
     def pools() -> Iterator[tuple[list[Element], float]]:
-        p_high = 1.0 / m
         for n_high in range(m + 1):
-            weight = (math.comb(m, n_high) * p_high ** n_high
-                      * (1.0 - p_high) ** (m - n_high))
+            weight = math.comb(m, n_high) * p_high ** n_high * p_low ** (m - n_high)
             n_low = m - n_high
             lows = [Element((r + 1.0) / (n_low + 1.0), 0.0) for r in range(n_low)]
             if n_high == 1:
@@ -264,5 +262,4 @@ def two_region_exact_distribution(m: int, q: int,
                 yield lows + [Element(1.0 + (r + 1.0) / (n_high + 1.0), 0.0)
                               for r in range(n_high)], weight
 
-    return _exact_law(CodedPoolAlgorithm(m, q), pools(), q, lambda _b: response_one,
-                      two_region_rank_pattern())
+    return _exact_law(alg, pools(), q, dist.prob_one, RankPattern(region_of))

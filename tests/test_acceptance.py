@@ -168,7 +168,7 @@ def test_criterion_4_rejection_equivalence(rejection_batches):
         worst = max(worst, ps.tv_distance(exact, emp))
         exact2 = ps.two_region_exact_distribution(m, q)
         emp2 = ps.empirical_distribution(rejection_batches[("coded", m, q)],
-                                         ps.two_region_rank_pattern())
+                                         exact2.projection)
         worst = max(worst, ps.tv_distance(exact2, emp2))
     report(4, worst <= 0.02,
            "rejection emulator vs exact pool distributions, TV <= 0.02",

@@ -385,6 +385,13 @@ class TestConfigAndErrors:
     def test_budget_above_pool_is_config_error(self):
         assert run_cli(["equiv-test", "--m", "2", "--q", "5"]) == 1
 
+    def test_two_region_law_beyond_the_budget_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run_cli(["equiv-test", "--fixture", "thm3-good-pool", "--emulator", "gen",
+                        "--m", "11", "--q", "2", "--trials", "2", "--out", str(out)]) == 1
+        assert "exceeds the enumeration budget" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option,message", [
         (["--q", "5"], "q=5 exceeds m=4"),
         (["--trials", "0"], "trials must be positive"),

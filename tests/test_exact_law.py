@@ -72,7 +72,7 @@ def reference_exact(alg, dist, m, q):
     def sink(history, w):
         masses[canonicalizer(history)] += w
 
-    p_one = dist.constant_response
+    p_one = float(dist.response_one)  # a number: the law is base-independent
     base_weight = 1.0 / math.factorial(m)
     for order in itertools.permutations(range(m)):
         elements = [ps.Element(reps[r], 0.0) for r in order]
@@ -83,7 +83,7 @@ def reference_exact(alg, dist, m, q):
 def reference_two_region(m, q, response_one=0.0):
     """The coded pool's law, one pool per (high count, coded permutation)."""
     alg = ps.CodedPoolAlgorithm(m, q)
-    canonicalizer = ps.two_region_rank_pattern()
+    canonicalizer = ps.RankPattern(ps.region_of)
     masses = Counter()
 
     def sink(history, w):

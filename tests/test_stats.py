@@ -41,7 +41,7 @@ class TestCanonicalization:
         assert out == ((0, 3, 0), (0, 1, 0), (0, 2, 1))
 
     def test_rank_pattern_uses_bucket(self):
-        canon = ps.two_region_rank_pattern()
+        canon = ps.RankPattern(ps.region_of)
         out = canon([pair(0.7), pair(1.5)])
         assert out == ((0, 1, 0), (1, 2, 0))
 
@@ -78,7 +78,7 @@ class TestTvDistance:
         # Laws carry their canonicalizer; equal ones compare, others do not.
         rank = self.dist({("x",): 1.0}, projection=ps.RankPattern())
         assert ps.tv_distance(rank, self.dist({("x",): 1.0}, ps.RankPattern())) == 0.0
-        for other in (ps.two_region_rank_pattern(), ps.DiscreteProjection()):
+        for other in (ps.RankPattern(ps.region_of), ps.DiscreteProjection()):
             with pytest.raises(ValueError):
                 ps.tv_distance(rank, self.dist({("x",): 1.0}, projection=other))
 
@@ -182,6 +182,18 @@ class TestExactPoolDistribution:
         with pytest.raises(TooLargeToEnumerate):
             ps.exact_pool_distribution(greedy(30, 2, tie_break="index"), dist, 30, 2)
 
+    def test_two_region_budget_guard(self):
+        # 10! coded pools x 2^2 responses is about 1.5e7; m = 10 still enumerates.
+        with pytest.raises(TooLargeToEnumerate, match="10! coded pools"):
+            ps.two_region_exact_distribution(11, 2)
+
+    def test_budget_above_pool_is_refused_before_any_pool_call(self):
+        # A greedy pool is correct; the refusal is the enumerator's, not a
+        # contract violation blamed on it.
+        alg = ps.GreedyUtilityPool(lambda e, h: e.base, 2, 3)
+        with pytest.raises(ValueError, match="budget q=3 exceeds pool size m=2"):
+            ps.exact_pool_distribution(alg, ps.uniform_symbols(2, atomless=True), 2, 3)
+
     def test_m10_q5_laws_enumerate(self):
         out = build_fixture("greedy-max", 10, 5).exact()
         assert out.support == {
@@ -208,7 +220,7 @@ class TestExactPoolDistribution:
         with pytest.raises(TooLargeToEnumerate):
             ps.exact_pool_distribution(greedy(30, 24), ps.uniform_interval(), 30, 24)
         varying = ps.SourceDistribution(
-            ps.IntervalMarginal(((0.0, 1.0, 1.0),)), lambda b: b, atomless=True)
+            ps.IntervalMarginal(((0.0, 1.0, 1.0),)), {0.5: 1.0}, atomless=True)
         with pytest.raises(TooLargeToEnumerate):
             ps.exact_pool_distribution(greedy(3, 1), varying, 3, 1)
         with pytest.raises(TooLargeToEnumerate):
@@ -252,6 +264,14 @@ class TestTwoRegionExact:
         assert out.total() == pytest.approx(1.0)
         # With a 1-response on the first pick, good pools end on a low.
         assert any(key[-1][0] == 0 and key[0][2] == 1 for key in out.support)
+
+    @pytest.mark.parametrize("args,error", [
+        ((1, 1), ValueError), ((4, 2, 1.5), ValueError), ((4, 2, {1.5: 1.0}), TypeError)],
+        ids=["m-below-two", "law-above-one", "mapping-law"])
+    def test_source_checks_refuse_bad_arguments(self, args, error):
+        # The marginal and SourceDistribution make these checks for the law.
+        with pytest.raises(error):
+            ps.two_region_exact_distribution(*args)
 
 
 class TestFirstQExact:
