@@ -115,14 +115,13 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
         return Fixture(name, m, q, hc.source(variant), BitIdentificationPool(hc, m),
                        no_exact)
     # The rest run the greedy utility maximiser; exact_pool_distribution enumerates its law.
-    utility, tie_break = base_utility, "error"
+    utility = base_utility
     if name == "greedy-max":
         dist = uniform_interval(0.0, 1.0)
     elif name == "greedy-max-discrete":
         dist = uniform_symbols(3, atomless=True, response_one=_BERNOULLI_LAW)
     elif name == "greedy-max-atoms":
         dist = uniform_symbols(3, atomless=False, response_one=_BERNOULLI_LAW)
-        tie_break = "index"
     elif name == "thm6-chain":
         chain = chain_fixture(m, q)
         if not 0 <= variant <= q:
@@ -130,7 +129,7 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
         dist, utility = chain.dists[variant], chain.utility
     else:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    alg = GreedyUtilityPool(utility, m, q, tie_break)
+    alg = GreedyUtilityPool(utility, m, q)
     return Fixture(name, m, q, dist, alg,
                    lambda: _cli.exact_pool_distribution(alg, dist, m, q), utility=utility)
 

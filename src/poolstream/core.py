@@ -45,7 +45,7 @@ class AtomlessDistribution(EmulationError):
 
 
 class TieDetected(EmulationError):
-    """Two candidate elements scored exactly equal under a utility function."""
+    """Two unequal candidate elements scored exactly equal under a utility function."""
 
 
 class IterationCapExceeded(EmulationError):

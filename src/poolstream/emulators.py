@@ -48,20 +48,15 @@ class GreedyUtilityPool(PoolAlgorithm):
     """Pool algorithm selecting the utility argmax each round.
 
     Keys compare score first, then tie-break; scores must be totally ordered.
-    ``tie_break`` is "error" (raise :class:`TieDetected`, the no-ties contract)
-    or "index" (keep the lowest pool index; value-level behavior stays
-    permutation invariant, which makes the algorithm usable on atom-bearing
-    pools where duplicate values are common).
+    Equal elements sharing the maximal key are one value, so the lowest pool
+    index is kept; unequal ones would make the pick depend on pool order, so
+    they raise :class:`TieDetected`.
     """
 
-    def __init__(self, utility: UtilityFunction, m: int, q: int,
-                 tie_break: str = "error"):
-        if tie_break not in ("error", "index"):
-            raise ValueError(f"unknown tie_break {tie_break!r}")
+    def __init__(self, utility: UtilityFunction, m: int, q: int):
         self.utility = utility
         self.m = m
         self.q = q
-        self.tie_break = tie_break
 
     def select_next(self, elements: Sequence[Element], history: History,
                     selected: frozenset[int]) -> int:
@@ -75,10 +70,11 @@ class GreedyUtilityPool(PoolAlgorithm):
             score = utility(element, history)
             if best is None or score > best or score == best and element.tiebreak > best_tb:
                 best_idx, best, best_tb, tied = idx, score, element.tiebreak, False
-            elif score == best and element.tiebreak == best_tb:
+            elif (score == best and element.tiebreak == best_tb
+                  and element.base != elements[best_idx].base):
                 tied = True
-        if tied and self.tie_break == "error":
-            raise TieDetected(f"two pool elements share the maximal score {(best, best_tb)}")
+        if tied:
+            raise TieDetected(f"unequal pool elements share the maximal key {(best, best_tb)}")
         return best_idx
 
 

@@ -189,8 +189,7 @@ def _multiset_pools(marginal: DiscreteMarginal,
             math.factorial(len(list(run))) for _, run in itertools.groupby(combo))
         weight = arrangements * math.prod(marginal.probs[i] for i in combo)
         if weight > 0.0:
-            yield ([Element(marginal.symbols[i], (pos + 1.0) / (m + 1.0))
-                    for pos, i in enumerate(combo)], weight)
+            yield [Element(marginal.symbols[i], 0.0) for i in combo], weight
 
 
 def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
@@ -200,10 +199,10 @@ def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
     By the :class:`~poolstream.core.PoolAlgorithm` contract (permutation
     invariance at the value level) one ordering per value multiset carries
     the multiset's whole mass.  Discrete marginals are enumerated over symbol
-    multisets with multinomial weights (tie-break coordinates are synthesized
-    per slot; valid whenever the algorithm's base-level output does not
-    depend on them, which holds for value-driven algorithms).  A
-    single-interval marginal is one pool of m ranked representatives, valid
+    multisets with multinomial weights, every tie-break 0.0: where a tie-break
+    would decide between bases, the greedy pool raises
+    :class:`~poolstream.core.TieDetected`.
+    A single-interval marginal is one pool of m ranked representatives, valid
     for order-driven algorithms with a base-independent response law.
     """
     if q > m:

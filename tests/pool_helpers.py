@@ -1,7 +1,7 @@
 """Pool-side references that only the tests use: running a pool algorithm
 on a sealed pool, drawing pools, exact laws of small cases, the secretary
 stopping rule, and the greedy pool, response law and trial batch that
-several test modules share."""
+several test modules share, with a coarse utility that ties unequal bases."""
 
 from __future__ import annotations
 
@@ -37,9 +37,14 @@ from poolstream.stats import OutcomeDistribution, RankPattern
 BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
 
 
-def greedy(m, q, **kw):
+def greedy(m, q):
     """Greedy pool on the element's base value."""
-    return GreedyUtilityPool(lambda e, h: e.base, m, q, **kw)
+    return GreedyUtilityPool(lambda e, h: e.base, m, q)
+
+
+def coarse_utility(element, history):
+    """Scores bases 1.0 and 2.0 alike, so a greedy pool on it meets unequal ties."""
+    return float(element.base >= 1.0)
 
 
 def batch(emulator, dist, q, seed, trials):

@@ -269,11 +269,11 @@ def test_criterion_8_counter_identities(utility_batches, rejection_batches):
     dist_atoms = ps.uniform_symbols(3, response_one=BERNOULLI)
     ok = True
     # selection-all emulator: both counters equal the pool size
-    for r in batch(ps.NowaitEmulator(greedy(4, 2, tie_break="index")),
+    for r in batch(ps.NowaitEmulator(greedy(4, 2)),
                    dist_atoms, 2, 801, 10_000):
         ok = ok and r.n_iter == 4 and r.n_sel == 4
     # wait emulator: exactly q reveals
-    for r in batch(ps.WaitEmulator(greedy(4, 2, tie_break="index")),
+    for r in batch(ps.WaitEmulator(greedy(4, 2)),
                    dist_atoms, 2, 802, 10_000):
         ok = ok and r.n_sel == 2
     # rejection emulator: exactly q reveals on every equivalence batch
@@ -316,7 +316,7 @@ def test_criterion_9_constructions():
     for q in range(1, 6):
         fixture = _chain_with_alphabet(q, 2 * q - 1)
         m = 2 * q + 1
-        alg = ps.GreedyUtilityPool(fixture.utility, m, q, tie_break="index")
+        alg = ps.GreedyUtilityPool(fixture.utility, m, q)
         for t in range(q + 1):
             law = fixture.dists[t]
             bases = list(range(1, 2 * q)) + [1] * (m - (2 * q - 1))

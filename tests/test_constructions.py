@@ -215,7 +215,7 @@ class TestChainFixture:
     def test_forced_outputs_per_response_law(self, q):
         fixture = chain_with_alphabet(q, 2 * q - 1)
         m = 2 * q + 1
-        alg = ps.GreedyUtilityPool(fixture.utility, m, q, tie_break="index")
+        alg = ps.GreedyUtilityPool(fixture.utility, m, q)
         for t in range(q + 1):
             dist = fixture.dists[t]
             bases = list(range(1, 2 * q)) + [1, 1][: m - (2 * q - 1)]

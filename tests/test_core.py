@@ -165,9 +165,9 @@ class TestPoolProtocol:
 def pool_fixtures():
     chain = ps.chain_fixture(12, 2)
     return [
-        ("greedy", greedy(4, 2, tie_break="index"),
+        ("greedy", greedy(4, 2),
          ps.uniform_symbols(3, response_one=BERNOULLI)),
-        ("chain", ps.GreedyUtilityPool(chain.utility, 4, 2, tie_break="index"),
+        ("chain", ps.GreedyUtilityPool(chain.utility, 4, 2),
          chain.dists[1]),
         ("coded", ps.CodedPoolAlgorithm(4, 2), ps.two_region_marginal(4)),
     ]
@@ -441,7 +441,7 @@ DECODER_SOURCES = {
 
 
 @pytest.mark.parametrize("name", DECODER_SOURCES)
-def test_block_decoder_matches_scalar_decoder(name):
+def test_stream_decoder_matches_scalar_decoder(name):
     # 6000 pairs of one to three uniforms each cross every block size.
     dist = DECODER_SOURCES[name]
     src = StreamSource(dist, ps.trial_rng(16, 1))

@@ -8,7 +8,8 @@ import pytest
 import poolstream as ps
 from poolstream import cli
 from poolstream.core import StreamSource
-from pool_helpers import BERNOULLI, batch, greedy, point_mass, run_pool, secpr
+from pool_helpers import (BERNOULLI, batch, coarse_utility, greedy, point_mass, run_pool,
+                          secpr)
 
 
 class FakeSource:
@@ -61,14 +62,14 @@ def test_pool_replay_refuses_a_budget_above_the_pool(emulator):
     # As the rejection and secretary emulators do, before any pool call.
     source = StreamSource(ps.uniform_symbols(3), ps.trial_rng(0, 0))
     with pytest.raises(ValueError, match=r"^budget q=3 exceeds pool size m=2$"):
-        emulator(greedy(2, 3, tie_break="index")).run(source, 3)
+        emulator(greedy(2, 3)).run(source, 3)
 
 
 class TestWaitEmulator:
     def test_single_atom_recurs_immediately(self):
         # Pool of one repeated symbol: observe it, then the very next
         # arrival matches, so every run costs exactly two observations.
-        emulator = ps.WaitEmulator(greedy(1, 1, tie_break="index"))
+        emulator = ps.WaitEmulator(greedy(1, 1))
         for t in range(200):
             record = ps.run_stream(emulator, point_mass(3.0), 1,
                                    ps.trial_rng(20, t))
@@ -78,7 +79,7 @@ class TestWaitEmulator:
     def test_mean_wait_is_alphabet_size(self):
         # Waiting for one named symbol out of k uniform ones is geometric
         # with mean k; band is a 6-sigma envelope at 1e5 trials.
-        emulator = ps.WaitEmulator(greedy(4, 1, tie_break="index"))
+        emulator = ps.WaitEmulator(greedy(4, 1))
         dist = ps.uniform_symbols(4)
         waits = [r.n_iter - 4
                  for r in batch(emulator, dist, 1, 21, 10**5)]
@@ -98,7 +99,7 @@ class TestWaitEmulator:
             ps.run_stream(emulator, dist, 1, ps.trial_rng(22, 1), max_iter=200000)
 
     def test_reveals_exactly_q(self):
-        emulator = ps.WaitEmulator(greedy(4, 2, tie_break="index"))
+        emulator = ps.WaitEmulator(greedy(4, 2))
         for record in batch(emulator, ps.uniform_symbols(3), 2, 23, 200):
             assert record.n_sel == 2
 
@@ -126,7 +127,7 @@ class TestWaitEmulator:
 
 class TestNowaitEmulator:
     def test_counters_equal_pool_size(self):
-        emulator = ps.NowaitEmulator(greedy(4, 2, tie_break="index"))
+        emulator = ps.NowaitEmulator(greedy(4, 2))
         for record in batch(emulator, ps.uniform_symbols(3), 2, 24, 200):
             assert record.n_iter == 4
             assert record.n_sel == 4
@@ -145,10 +146,10 @@ class TestNowaitEmulator:
         canon = ps.DiscreteProjection()
         trials = 20000
         wait = ps.empirical_distribution(
-            batch(ps.WaitEmulator(greedy(2, 2, tie_break="index")), dist, 2, 25, trials),
+            batch(ps.WaitEmulator(greedy(2, 2)), dist, 2, 25, trials),
             canon)
         nowait = ps.empirical_distribution(
-            batch(ps.NowaitEmulator(greedy(2, 2, tie_break="index")), dist, 2, 26, trials),
+            batch(ps.NowaitEmulator(greedy(2, 2)), dist, 2, 26, trials),
             canon)
         assert ps.tv_distance(wait, nowait) <= 0.03
 
@@ -286,12 +287,32 @@ class TestSecretaryEmulator:
 
 
 class TestTies:
-    def test_duplicate_values_raise_without_tiebreak(self):
-        pool = [ps.LabeledPair(ps.Element(1.0, 0.0), 0)] * 2
-        with pytest.raises(ps.TieDetected):
-            run_pool(greedy(2, 1), pool, 1)
-
     def test_index_tie_break_is_allowed(self):
+        # Equal elements sharing the top key are one value: the lowest index
+        # is kept, for one pair twice as for two pairs of one element.
+        same = ps.LabeledPair(ps.Element(1.0, 0.0), 0)
+        assert run_pool(greedy(2, 1), [same] * 2, 1).output == (same,)
         pool = [ps.LabeledPair(ps.Element(1.0, 0.0), i) for i in range(2)]
-        record = run_pool(greedy(2, 2, tie_break="index"), pool, 2)
+        record = run_pool(greedy(2, 2), pool, 2)
         assert [p.response for p in record.output] == [0, 1]
+
+    def test_duplicate_values_raise_without_tiebreak(self):
+        # Duplicate utility values at the top of the pool raise when the
+        # elements behind them differ: no tie-break mode picks among them.
+        alg = ps.GreedyUtilityPool(coarse_utility, 3, 1)
+        pool = [ps.LabeledPair(ps.Element(b, 0.0), 0) for b in (1.0, 0.0, 2.0)]
+        with pytest.raises(ps.TieDetected, match="unequal pool elements"):
+            run_pool(alg, pool, 1)
+        # A tie below a strictly better key is no tie at the top.
+        pool = [ps.LabeledPair(ps.Element(b, 0.0), 0) for b in (0.0, 0.5, 1.0)]
+        assert run_pool(alg, pool, 1).output == (pool[2],)
+
+    def test_wait_on_atoms_raises_on_unequal_ties(self):
+        alg = ps.GreedyUtilityPool(coarse_utility, 4, 2)
+        dist = ps.uniform_symbols(3, response_one=BERNOULLI)
+        with pytest.raises(ps.TieDetected):
+            batch(ps.WaitEmulator(alg), dist, 2, 0, 20)
+
+    def test_greedy_pool_takes_no_tie_mode(self):
+        with pytest.raises(TypeError):
+            ps.GreedyUtilityPool(coarse_utility, 4, 2, "index")

@@ -20,7 +20,7 @@ import poolstream as ps
 from poolstream.cli import base_utility, run_trials
 from poolstream.core import _checked_select
 from poolstream.secretary import cached_policy
-from pool_helpers import BERNOULLI
+from pool_helpers import BERNOULLI, coarse_utility
 
 
 # ---------------------------------------------------------------------------
@@ -57,21 +57,16 @@ def reference_coded_select(alg, elements, history, selected):
 
 
 def reference_greedy_select(alg, elements, history, selected):
-    """``GreedyUtilityPool.select_next`` building a (score, tiebreak) key per element."""
-    best_idx = -1
-    best_key = None
-    tied = False
-    for idx, element in enumerate(elements):
-        if idx in selected:
-            continue
-        key = (alg.utility(element, history), element.tiebreak)
-        if best_key is None or key > best_key:
-            best_idx, best_key, tied = idx, key, False
-        elif key == best_key:
-            tied = True
-    if tied and alg.tie_break == "error":
-        raise ps.TieDetected(f"two pool elements share the maximal score {best_key}")
-    return best_idx
+    """``GreedyUtilityPool.select_next`` building a (score, tiebreak) key per
+    element: the lowest index among equal top elements, an error among
+    unequal ones."""
+    keys = {idx: (alg.utility(element, history), element.tiebreak)
+            for idx, element in enumerate(elements) if idx not in selected}
+    best_key = max(keys.values())
+    top = [idx for idx, key in keys.items() if key == best_key]
+    if len({elements[idx] for idx in top}) > 1:
+        raise ps.TieDetected(f"unequal pool elements share the maximal key {best_key}")
+    return top[0]
 
 
 class ReferenceRejection(ps.StreamEmulator):
@@ -343,36 +338,36 @@ def test_greedy_select_matches_reference():
     mismatches = []
     seen = {"index-tie": 0, "tiebreak-decides": 0, "tie-error": 0, "selected": 0,
             "history-dependent": 0}
-    for utility in (base_utility, flip_on_one, flip_by_length):
+    # The first three utilities are injective on bases, so only the coarse
+    # one meets unequal elements sharing the top key.
+    for utility in (base_utility, flip_on_one, flip_by_length, coarse_utility):
         for m in range(2, 6):
-            for tie_break in ("error", "index"):
-                alg = ps.GreedyUtilityPool(utility, m, m, tie_break)
-                for pool in greedy_pools(m, rng):
-                    # Walk every history the interaction reaches, branching
-                    # on both responses of each selected element.
-                    stack = [((), frozenset())]
-                    while stack:
-                        history, selected = stack.pop()
-                        got = outcome(alg.select_next, pool, history, selected)
-                        want = outcome(reference_greedy_select, alg, pool, history, selected)
-                        if got != want or type(got) is not type(want):
-                            mismatches.append((utility.__name__, tie_break, pool,
-                                               history, got, want))
-                            continue
-                        keys = [(utility(e, history), e.tiebreak)
-                                for i, e in enumerate(pool) if i not in selected]
-                        top = max(keys)
-                        seen["index-tie"] += tie_break == "index" and keys.count(top) > 1
-                        seen["tiebreak-decides"] += len(
-                            {tb for score, tb in keys if score == top[0]}) > 1
-                        seen["tie-error"] += isinstance(got, tuple)
-                        seen["selected"] += bool(selected)
-                        seen["history-dependent"] += utility is flip_on_one and any(
-                            pair.response == 1 for pair in history)
-                        if isinstance(got, tuple) or len(selected) + 1 == m:
-                            continue
-                        for response in (0, 1):
-                            stack.append((history + (ps.LabeledPair(pool[got], response),),
-                                          selected | {got}))
+            alg = ps.GreedyUtilityPool(utility, m, m)
+            for pool in greedy_pools(m, rng):
+                # Walk every history the interaction reaches, branching
+                # on both responses of each selected element.
+                stack = [((), frozenset())]
+                while stack:
+                    history, selected = stack.pop()
+                    got = outcome(alg.select_next, pool, history, selected)
+                    want = outcome(reference_greedy_select, alg, pool, history, selected)
+                    if got != want or type(got) is not type(want):
+                        mismatches.append((utility.__name__, pool, history, got, want))
+                        continue
+                    keys = [(utility(e, history), e.tiebreak)
+                            for i, e in enumerate(pool) if i not in selected]
+                    top = max(keys)
+                    seen["index-tie"] += keys.count(top) > 1 and not isinstance(got, tuple)
+                    seen["tiebreak-decides"] += len(
+                        {tb for score, tb in keys if score == top[0]}) > 1
+                    seen["tie-error"] += isinstance(got, tuple)
+                    seen["selected"] += bool(selected)
+                    seen["history-dependent"] += utility is flip_on_one and any(
+                        pair.response == 1 for pair in history)
+                    if isinstance(got, tuple) or len(selected) + 1 == m:
+                        continue
+                    for response in (0, 1):
+                        stack.append((history + (ps.LabeledPair(pool[got], response),),
+                                      selected | {got}))
     assert not mismatches, mismatches[:3]
     assert all(count > 0 for count in seen.values()), seen

@@ -11,7 +11,8 @@ import poolstream as ps
 from poolstream.cli import build_fixture, run_trials
 from poolstream.core import ContractViolation
 from poolstream.stats import InsufficientSamples, TooLargeToEnumerate
-from pool_helpers import first_q_exact_distribution, greedy, run_pool
+from pool_helpers import (BERNOULLI, coarse_utility, first_q_exact_distribution, greedy,
+                          run_pool)
 
 
 def pair(base, tiebreak=0.0, response=0):
@@ -119,7 +120,7 @@ class TestMeanCI:
 class TestExactPoolDistribution:
     def test_budget_equals_pool_gives_content_distribution(self):
         dist = ps.uniform_symbols(2)
-        out = ps.exact_pool_distribution(greedy(2, 2, tie_break="index"), dist, 2, 2)
+        out = ps.exact_pool_distribution(greedy(2, 2), dist, 2, 2)
         assert out.support[((0.0, 0), (0.0, 0))] == pytest.approx(0.25)
         assert out.support[((0.0, 0), (1.0, 0))] == pytest.approx(0.5)
         assert out.support[((1.0, 0), (1.0, 0))] == pytest.approx(0.25)
@@ -127,13 +128,13 @@ class TestExactPoolDistribution:
     def test_greedy_single_pick_two_symbols(self):
         # Output {b} unless the pool is all-a: mass 3/4.
         dist = ps.uniform_symbols(2)
-        out = ps.exact_pool_distribution(greedy(2, 1, tie_break="index"), dist, 2, 1)
+        out = ps.exact_pool_distribution(greedy(2, 1), dist, 2, 1)
         assert out.support[((1.0, 0),)] == pytest.approx(0.75)
         assert out.support[((0.0, 0),)] == pytest.approx(0.25)
 
     def test_response_branching_weights(self):
         dist = ps.uniform_symbols(1, response_one=0.3)
-        out = ps.exact_pool_distribution(greedy(1, 1, tie_break="index"), dist, 1, 1)
+        out = ps.exact_pool_distribution(greedy(1, 1), dist, 1, 1)
         assert out.support[((0.0, 1),)] == pytest.approx(0.3)
         assert out.support[((0.0, 0),)] == pytest.approx(0.7)
 
@@ -163,7 +164,7 @@ class TestExactPoolDistribution:
         # forced; verified by enumerating exactly those pools.
         fixture = ps.chain_fixture(13, 2)
         assert fixture.n >= 3
-        alg = ps.GreedyUtilityPool(fixture.utility, 4, 2, tie_break="index")
+        alg = ps.GreedyUtilityPool(fixture.utility, 4, 2)
         dist = fixture.dists[0]
         symbols = [int(s) for s in dist.marginal.symbols]
         target = ps.DiscreteProjection()(
@@ -176,11 +177,21 @@ class TestExactPoolDistribution:
             record = run_pool(alg, pool, 2)
             assert ps.DiscreteProjection()(record) == target
 
+    @pytest.mark.parametrize("atomless", [True, False], ids=["atomless", "atoms"])
+    def test_unequal_ties_raise_in_the_exact_law(self, atomless):
+        # Bases 1.0 and 2.0 score alike, so only a tie-break or the pool order
+        # decides between them: one enumerated ordering per multiset cannot
+        # carry that law, and the enumerator must not report one.
+        alg = ps.GreedyUtilityPool(coarse_utility, 4, 2)
+        dist = ps.uniform_symbols(3, atomless=atomless, response_one=BERNOULLI)
+        with pytest.raises(ps.TieDetected):
+            ps.exact_pool_distribution(alg, dist, 4, 2)
+
     def test_discrete_budget_guard(self):
         # C(39, 9) multisets x 2^2 responses is about 8.5e8.
         dist = ps.uniform_symbols(10)
         with pytest.raises(TooLargeToEnumerate):
-            ps.exact_pool_distribution(greedy(30, 2, tie_break="index"), dist, 30, 2)
+            ps.exact_pool_distribution(greedy(30, 2), dist, 30, 2)
 
     def test_two_region_budget_guard(self):
         # 10! coded pools x 2^2 responses is about 1.5e7; m = 10 still enumerates.
