@@ -63,15 +63,13 @@ def base_utility(element: Element, history) -> float:
 
 
 class Fixture(NamedTuple):
-    """A pool algorithm, its source law, and its exact law (which carries its projection)."""
+    """A pool algorithm, its source law, and its exact law (which carries its
+    projection).  The pool size and budget are ``pool_alg.m`` and ``pool_alg.q``."""
 
     name: str
-    m: int
-    q: int
     dist: SourceDistribution
     pool_alg: PoolAlgorithm
     exact: Callable[[], OutcomeDistribution]
-    utility: Callable | None = None
 
 
 _BERNOULLI_LAW = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
@@ -96,24 +94,21 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
         if not (q <= (m + 1) // 2 or m == q == 2):
             raise ValueError(f"thm3-good-pool needs q <= ceil(m/2) or m = q = 2, "
                              f"got m={m}, q={q}")
-        return Fixture(name, m, q, two_region_marginal(m), CodedPoolAlgorithm(m, q),
+        return Fixture(name, two_region_marginal(m), CodedPoolAlgorithm(m, q),
                        lambda: _cli.two_region_exact_distribution(m, q))
     if name == "ex1-hypotheses":
         # Bit-identification learner over its hypothesis class; ``variant``
-        # is the target hypothesis index.  For iter-bench with the wait or
-        # nowait emulators (the source has atoms).
+        # is the target hypothesis index, which ``source`` checks.  For
+        # iter-bench with the wait or nowait emulators (the source has atoms).
         T = max(1, (q - 1).bit_length())  # ceil(log2 q), in integers
         hc = hypothesis_class(q, T, q * (1 << T))
-        if not 0 <= variant < (1 << q):
-            raise ValueError(f"variant must be in [0, {(1 << q) - 1}] for ex1-hypotheses")
 
         def no_exact():
             raise TooLargeToEnumerate(
                 "ex1-hypotheses has no total exact output distribution: pools "
                 "missing the learner's query path abort; use iter-bench")
 
-        return Fixture(name, m, q, hc.source(variant), BitIdentificationPool(hc, m),
-                       no_exact)
+        return Fixture(name, hc.source(variant), BitIdentificationPool(hc, m), no_exact)
     # The rest run the greedy utility maximiser; exact_pool_distribution enumerates its law.
     utility = base_utility
     if name == "greedy-max":
@@ -130,27 +125,20 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
     else:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
     alg = GreedyUtilityPool(utility, m, q)
-    return Fixture(name, m, q, dist, alg,
-                   lambda: _cli.exact_pool_distribution(alg, dist, m, q), utility=utility)
+    return Fixture(name, dist, alg, lambda: _cli.exact_pool_distribution(alg, dist))
 
 
 def build_emulator(name: str, fixture: Fixture) -> StreamEmulator:
-    from .emulators import (FirstQEmulator, NowaitEmulator, RejectionEmulator,
-                            SecretaryEmulator, WaitEmulator)
+    from .emulators import (FirstQEmulator, GreedyUtilityPool, NowaitEmulator,
+                            RejectionEmulator, SecretaryEmulator, WaitEmulator)
 
-    if name == "wait":
-        return WaitEmulator(fixture.pool_alg)
-    if name == "nowait":
-        return NowaitEmulator(fixture.pool_alg)
-    if name == "gen":
-        return RejectionEmulator(fixture.pool_alg)
-    if name == "utility-stream":
-        if fixture.utility is None:
-            raise ValueError(f"fixture {fixture.name!r} exposes no utility function")
-        return SecretaryEmulator(fixture.utility, fixture.m)
-    if name == "first-q":
-        return FirstQEmulator()
-    raise ValueError(f"unknown emulator {name!r}; available: {', '.join(EMULATOR_NAMES)}")
+    emulators = {"wait": WaitEmulator, "nowait": NowaitEmulator, "gen": RejectionEmulator,
+                 "utility-stream": SecretaryEmulator, "first-q": FirstQEmulator}
+    if name not in emulators:
+        raise ValueError(f"unknown emulator {name!r}; available: {', '.join(EMULATOR_NAMES)}")
+    if name == "utility-stream" and not isinstance(fixture.pool_alg, GreedyUtilityPool):
+        raise ValueError(f"fixture {fixture.name!r} exposes no utility function")
+    return emulators[name](fixture.pool_alg)
 
 
 def _fmt(value) -> str:
@@ -183,7 +171,7 @@ def _emit(out_path: str | None, meta: dict, header: list[str],
         csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
 
 
-def run_trials(emulator: StreamEmulator, dist: SourceDistribution, q: int,
+def run_trials(emulator: StreamEmulator, dist: SourceDistribution,
                seed: int, trials: int, failures: list,
                max_iter: int = DEFAULT_MAX_ITER) -> Iterator[RunRecord]:
     """Yield the records of trials ``0..trials-1``, each run on its seeded
@@ -199,7 +187,7 @@ def run_trials(emulator: StreamEmulator, dist: SourceDistribution, q: int,
 
     for t in range(trials):
         try:
-            record = _cli.run_stream(emulator, dist, q, _cli.trial_rng(seed, t), max_iter)
+            record = _cli.run_stream(emulator, dist, _cli.trial_rng(seed, t), max_iter)
         except (IterationCapExceeded, IncompletePool) as exc:
             # Without its traceback the error no longer pins the run's frames.
             failures.append((t, exc.with_traceback(None)))
@@ -215,8 +203,8 @@ def cmd_equiv_test(cfg: dict) -> int:
     exact = fixture.exact()
     failures = []
     empirical = empirical_distribution(
-        run_trials(emulator, fixture.dist, cfg["q"], cfg["seed"], cfg["trials"],
-                   failures, cfg["max_iter"]),
+        run_trials(emulator, fixture.dist, cfg["seed"], cfg["trials"], failures,
+                   cfg["max_iter"]),
         exact.projection)
     tv = _cli.tv_distance(exact, empirical)
     # Failed trials may be exactly the long runs the empirical side misses,
@@ -238,8 +226,9 @@ def cmd_equiv_test(cfg: dict) -> int:
 def _costs(emulator: str, fixture: Fixture) -> tuple:
     """``(n_iter reference, n_sel reference, n_iter upper bound, per-round attempt
     references, n_iter lower bound: Theorem 6's q·n/8 on the chain)``; None is blank."""
-    m, q = fixture.m, fixture.q
-    lower = q * fixture.utility.n / 8.0 if fixture.name == "thm6-chain" else None
+    alg = fixture.pool_alg
+    m, q = alg.m, alg.q
+    lower = q * alg.utility.n / 8.0 if fixture.name == "thm6-chain" else None
     if emulator == "gen":
         bound = float(m * m) if q <= 1 else m * m * (math.e * m / (q - 1)) ** (q - 1)
         return (bound if q == 1 else None), None, bound, None, lower
@@ -288,12 +277,12 @@ def _trial_means(cfg: dict, emulator: str, fixture: Fixture,
     of ``fixture``'s trials under the named emulator, and the failed-trial count."""
     columns = [array("q") for _ in range(k)]
     failures = []
-    for r in run_trials(build_emulator(emulator, fixture), fixture.dist, fixture.q,
+    for r in run_trials(build_emulator(emulator, fixture), fixture.dist,
                         cfg["seed"], cfg["trials"], failures, cfg["max_iter"]):
         for column, value in zip(columns, (r.n_iter, r.n_sel, *(r.round_attempts or ()))):
             column.append(value)
     if len(columns[0]) < 2:
-        raise ValueError(f"fewer than two uncapped trials at m={fixture.m}")
+        raise ValueError(f"fewer than two uncapped trials at m={fixture.pool_alg.m}")
     return [_cli.mean_ci(column) for column in columns], len(failures)
 
 
@@ -337,8 +326,9 @@ def cmd_lowerbound_demo(cfg: dict) -> int:
     for fixture in fixtures:
         (est,), failed = _trial_means(cfg, emulator_name, fixture, 1)
         *_, bound = _costs(emulator_name, fixture)
-        n = fixture.utility.n if name == "thm6-chain" else None
-        rows.append([fixture.m, n, est.mean, est.half_width, est.trials, failed,
+        alg = fixture.pool_alg
+        n = alg.utility.n if name == "thm6-chain" else None
+        rows.append([alg.m, n, est.mean, est.half_width, est.trials, failed,
                      bound, _status(est, bound, lower=True)])
     _emit(cfg["out"], _meta(cfg), ["m", "alphabet_n", "mean_n_iter", "ci_half",
                                    "trials", "failed_trials", "lower_bound",

@@ -134,10 +134,7 @@ class CodedPoolAlgorithm(PoolAlgorithm):
     def __init__(self, m: int, q: int):
         if m < 2:
             raise ValueError("m must be at least 2")
-        if q > m:
-            raise ValueError(f"budget q={q} exceeds pool size m={m}")
-        self.m = m
-        self.q = q
+        super().__init__(m, q)
 
     def select_next(self, elements: Sequence[Element], history: History,
                     selected: frozenset[int]) -> int:
@@ -281,7 +278,10 @@ class HypothesisClass(NamedTuple):
         return int((i >> (k - self.T)) % (1 << self.T) == j)
 
     def source(self, target: int) -> SourceDistribution:
-        """Uniform marginal over the domain, responses labeled by hypothesis ``target``."""
+        """Uniform marginal over the domain, responses labeled by hypothesis
+        ``target``, one of the 2^q indices 0..2^q-1."""
+        if not 0 <= target < 1 << self.q:
+            raise ValueError(f"target must be in [0, {(1 << self.q) - 1}], got {target}")
         labels = {float(s): 1.0 for s in range(self.n) if self.evaluate(target, float(s))}
         return uniform_symbols(self.n, response_one=labels)
 
@@ -314,9 +314,8 @@ class BitIdentificationPool(PoolAlgorithm):
     """
 
     def __init__(self, hclass: HypothesisClass, m: int):
+        super().__init__(m, hclass.q)
         self.hclass = hclass
-        self.m = m
-        self.q = hclass.q
 
     def _query_target(self, history: History) -> tuple[int, int]:
         t = len(history) + 1

@@ -18,6 +18,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from . import DEFAULT_MAX_ITER
@@ -352,10 +353,11 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     Streams are keyed by (seed, trial) so trials are order-independent and may
     run concurrently.  The stream equals numpy's
     ``default_rng(SeedSequence([seed, trial]))``; the seed words are derived
-    for 1024 trials at a time, which is most of what that call costs.  The
-    first call imports numpy, which the package needs for stream draws only.
+    for 1024 trials at a time, which is most of what that call costs.  A
+    seed or trial that is not an integer raises ``TypeError``, as numpy does.
+    The first call imports numpy, which the package needs for stream draws only.
     """
-    seed, trial = int(seed), int(trial)
+    seed, trial = index(seed), index(trial)
     if seed < 0 or trial < 0:
         raise ValueError("expected non-negative integer")
     block, i = divmod(trial, _TRIAL_BLOCK)
@@ -481,8 +483,9 @@ class RunRecord(NamedTuple):
     """One run's output plus its cost counters.
 
     ``output`` keeps selection order; compare as an unordered multiset when
-    order is immaterial.  Invariants: ``len(output) == q``, every response is
-    revealed, and ``n_iter >= n_sel >= q``.  ``round_attempts`` is the run's
+    order is immaterial.  Invariants, with q the emulated ``pool_alg.q``:
+    ``len(output) == q``, every response is revealed, and
+    ``n_iter >= n_sel >= q``.  ``round_attempts`` is the run's
     ``StreamSource.round_attempts``: per-round attempt counts from the
     secretary-based emulator, None elsewhere.
     """
@@ -502,10 +505,17 @@ class PoolAlgorithm:
     sources duplicate values make selectability underivable from the history
     alone).  Implementations must be permutation invariant at the value level:
     shuffling the pool must not change the distribution of selected values.
+
+    ``m`` (pool size) and ``q`` (selection budget) are stated here once for
+    every run of the algorithm, pool or emulated stream, and checked once:
+    1 <= q <= m.
     """
 
-    m: int
-    q: int
+    def __init__(self, m: int, q: int):
+        if not 1 <= q <= m:
+            raise ValueError("q must be at least 1" if q < 1
+                             else f"budget q={q} exceeds pool size m={m}")
+        self.m, self.q = m, q
 
     def select_next(self, elements: Sequence[Element], history: History,
                     selected: frozenset[int]) -> int:
@@ -513,9 +523,14 @@ class PoolAlgorithm:
 
 
 class StreamEmulator:
-    """Contract for stream algorithms: consume a source, return q pairs its reveal returned."""
+    """Contract for stream algorithms: consume a source, return q pairs its
+    reveal returned, where q is ``pool_alg.q``, the budget of the pool
+    algorithm emulated."""
 
-    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+    def __init__(self, pool_alg: PoolAlgorithm):
+        self.pool_alg = pool_alg
+
+    def run(self, source: StreamSource) -> tuple[LabeledPair, ...]:
         raise NotImplementedError
 
 
@@ -531,35 +546,32 @@ def _checked_select(alg: PoolAlgorithm, elements: Sequence[Element],
     return idx
 
 
-def interact_pool(alg: PoolAlgorithm, elements: Sequence[Element], q: int,
+def interact_pool(alg: PoolAlgorithm, elements: Sequence[Element],
                   respond: Callable[[int], LabeledPair]) -> list[LabeledPair]:
-    """Run the q-round pool interaction on ``elements``; ``respond(idx)``, called
-    only with a checked index, returns the revealed pair for that selection."""
-    if q > len(elements):
-        raise ValueError(f"budget q={q} exceeds pool size m={len(elements)}")
+    """Run the ``alg.q``-round pool interaction on ``elements``; ``respond(idx)``,
+    called only with a checked index, returns the revealed pair for that selection."""
     history: list[LabeledPair] = []
     selected: set[int] = set()
-    for _ in range(q):
+    for _ in range(alg.q):
         idx = _checked_select(alg, elements, history, selected)
         selected.add(idx)
         history.append(respond(idx))
     return history
 
 
-def run_stream(emulator: StreamEmulator, dist: SourceDistribution, q: int,
-               rng: np.random.Generator,
+def run_stream(emulator: StreamEmulator, dist: SourceDistribution, rng: np.random.Generator,
                max_iter: int = DEFAULT_MAX_ITER) -> RunRecord:
     """Drive a stream emulator against a lazily sampled i.i.d. source.
 
     Raises :class:`IterationCapExceeded` if the emulator would observe more
     than ``max_iter`` elements; the cap applies to the whole run, and
     :class:`ContractViolation` if it returns other than q pairs, revealed
-    fewer than q, or returns one pair twice or one that ``reveal`` did not.
+    fewer than q, or returns one pair twice or one that ``reveal`` did not,
+    where q is ``emulator.pool_alg.q``.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
+    q = emulator.pool_alg.q
     source = StreamSource(dist, rng, max_iter)
-    output = emulator.run(source, q)
+    output = emulator.run(source)
     if len(output) != q:
         raise ContractViolation(f"emulator returned {len(output)} pairs, expected {q}")
     if source.n_sel < q:

@@ -54,9 +54,8 @@ class GreedyUtilityPool(PoolAlgorithm):
     """
 
     def __init__(self, utility: UtilityFunction, m: int, q: int):
+        super().__init__(m, q)
         self.utility = utility
-        self.m = m
-        self.q = q
 
     def select_next(self, elements: Sequence[Element], history: History,
                     selected: frozenset[int]) -> int:
@@ -79,10 +78,11 @@ class GreedyUtilityPool(PoolAlgorithm):
 
 
 class FirstQEmulator(StreamEmulator):
-    """Select the first q stream elements unconditionally (negative control)."""
+    """Select the first ``pool_alg.q`` stream elements unconditionally
+    (negative control); the pool algorithm itself is never run."""
 
-    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
-        return tuple([source.reveal(source.next()) for _ in range(q)])
+    def run(self, source: StreamSource) -> tuple[LabeledPair, ...]:
+        return tuple([source.reveal(source.next()) for _ in range(self.pool_alg.q)])
 
 
 class WaitEmulator(StreamEmulator):
@@ -93,10 +93,7 @@ class WaitEmulator(StreamEmulator):
     ever end at the iteration cap.
     """
 
-    def __init__(self, pool_alg: PoolAlgorithm):
-        self.pool_alg = pool_alg
-
-    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+    def run(self, source: StreamSource) -> tuple[LabeledPair, ...]:
         if source.dist.atomless or not source.dist.is_discrete:
             raise AtomlessDistribution(
                 "the wait emulator needs exact value recurrences; "
@@ -110,18 +107,15 @@ class WaitEmulator(StreamEmulator):
                 element = source.next()
                 if element == target:
                     return source.reveal(element)
-        return tuple(interact_pool(alg, elements, q, wait_for))
+        return tuple(interact_pool(alg, elements, wait_for))
 
 
 class NowaitEmulator(StreamEmulator):
     """Select the whole m-element prefix, then replay the pool algorithm offline."""
 
-    def __init__(self, pool_alg: PoolAlgorithm):
-        self.pool_alg = pool_alg
-
-    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+    def run(self, source: StreamSource) -> tuple[LabeledPair, ...]:
         pool = [source.reveal(source.next()) for _ in range(self.pool_alg.m)]
-        return tuple(interact_pool(self.pool_alg, [p.element for p in pool], q,
+        return tuple(interact_pool(self.pool_alg, [p.element for p in pool],
                                    pool.__getitem__))
 
 
@@ -139,17 +133,12 @@ class RejectionEmulator(StreamEmulator):
     the replay aborts without ever needing an unrevealed response.
     """
 
-    def __init__(self, pool_alg: PoolAlgorithm):
-        self.pool_alg = pool_alg
-
-    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+    def run(self, source: StreamSource) -> tuple[LabeledPair, ...]:
         if not source.dist.atomless:
             raise AtomlessDistribution(
                 "the rejection emulator assumes an atomless source")
         alg = self.pool_alg
-        m = alg.m
-        if q > m:
-            raise ValueError(f"budget q={q} exceeds pool size m={m}")
+        m, q = alg.m, alg.q
         committed: list[LabeledPair] = []
         # The k committed elements in commit order, then the current draw of
         # m - k; each redraw overwrites only the draw.
@@ -193,22 +182,17 @@ class SecretaryEmulator(StreamEmulator):
     output distribution aligned with the pool algorithm's.  Keys compare
     score first, then tie-break; scores must be totally ordered.
 
-    The attempt count per round goes to ``source.round_attempts``; the
-    emulator itself keeps no per-run state.
+    ``pool_alg`` is the :class:`GreedyUtilityPool` emulated: its utility,
+    m and q are the emulator's.  The attempt count per round goes to
+    ``source.round_attempts``; the emulator itself keeps no per-run state.
     """
 
-    def __init__(self, utility: UtilityFunction, m: int):
-        self.utility = utility
-        self.m = m
-
-    def run(self, source: StreamSource, q: int) -> tuple[LabeledPair, ...]:
+    def run(self, source: StreamSource) -> tuple[LabeledPair, ...]:
         if not source.dist.atomless:
             raise AtomlessDistribution(
                 "the secretary emulator assumes an atomless source")
-        m = self.m
-        if q > m:
-            raise ValueError(f"budget q={q} exceeds pool size m={m}")
-        utility = self.utility
+        pool = self.pool_alg
+        m, q, utility = pool.m, pool.q, pool.utility
         nxt = source.next
         accepted: list[LabeledPair] = []
         # (history snapshot, cutoff score, cutoff tie-break) per finished

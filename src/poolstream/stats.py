@@ -151,14 +151,16 @@ def empirical_distribution(runs: Iterable[PairsLike],
 
 
 def _exact_law(alg: PoolAlgorithm, pools: Iterable[tuple[list[Element], float]],
-               q: int, prob_one: Callable[[float], float],
+               prob_one: Callable[[float], float],
                canonicalizer: Canonicalizer) -> OutcomeDistribution:
     """Exact canonical-outcome law over weighted pools.
 
-    Each pool is run through every response branch: a selection reveals 1
-    with probability ``prob_one(base)`` and 0 otherwise.  Selections go
-    through the same index check as :func:`~poolstream.core.interact_pool`.
+    Each pool is run for ``alg.q`` rounds through every response branch: a
+    selection reveals 1 with probability ``prob_one(base)`` and 0 otherwise.
+    Selections go through the same index check as
+    :func:`~poolstream.core.interact_pool`.
     """
+    q = alg.q
     masses: Counter[Outcome] = Counter()
     history: list[LabeledPair] = []
 
@@ -192,9 +194,10 @@ def _multiset_pools(marginal: DiscreteMarginal,
             yield [Element(marginal.symbols[i], 0.0) for i in combo], weight
 
 
-def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
-                            m: int, q: int) -> OutcomeDistribution:
-    """Exact output distribution of a pool algorithm on i.i.d. pools of size m.
+def exact_pool_distribution(alg: PoolAlgorithm,
+                            dist: SourceDistribution) -> OutcomeDistribution:
+    """Exact output distribution of a pool algorithm on i.i.d. pools of its
+    size ``alg.m``, for its budget ``alg.q``.
 
     By the :class:`~poolstream.core.PoolAlgorithm` contract (permutation
     invariance at the value level) one ordering per value multiset carries
@@ -205,8 +208,7 @@ def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
     A single-interval marginal is one pool of m ranked representatives, valid
     for order-driven algorithms with a base-independent response law.
     """
-    if q > m:
-        raise ValueError(f"budget q={q} exceeds pool size m={m}")
+    m, q = alg.m, alg.q
     marginal = dist.marginal
     if isinstance(marginal, DiscreteMarginal):
         k = len(marginal.symbols)
@@ -214,7 +216,7 @@ def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
             raise TooLargeToEnumerate(
                 f"C({m + k - 1}, {k - 1}) multisets x 2^{q} responses "
                 "exceeds the enumeration budget")
-        return _exact_law(alg, _multiset_pools(marginal, m), q, dist.prob_one,
+        return _exact_law(alg, _multiset_pools(marginal, m), dist.prob_one,
                           DiscreteProjection())
 
     if len(marginal.pieces) != 1:
@@ -228,7 +230,7 @@ def exact_pool_distribution(alg: PoolAlgorithm, dist: SourceDistribution,
         raise TooLargeToEnumerate(f"2^{q} responses exceed the enumeration budget")
     lo, hi, _ = marginal.pieces[0]
     reps = [Element(lo + (r + 1.0) / (m + 1.0) * (hi - lo), 0.0) for r in range(m)]
-    return _exact_law(alg, [(reps, 1.0)], q, dist.prob_one, RankPattern())
+    return _exact_law(alg, [(reps, 1.0)], dist.prob_one, RankPattern())
 
 
 def two_region_exact_distribution(m: int, q: int,
@@ -261,4 +263,4 @@ def two_region_exact_distribution(m: int, q: int,
                 yield lows + [Element(1.0 + (r + 1.0) / (n_high + 1.0), 0.0)
                               for r in range(n_high)], weight
 
-    return _exact_law(alg, pools(), q, dist.prob_one, RankPattern(region_of))
+    return _exact_law(alg, pools(), dist.prob_one, RankPattern(region_of))

@@ -47,10 +47,10 @@ def coarse_utility(element, history):
     return float(element.base >= 1.0)
 
 
-def batch(emulator, dist, q, seed, trials):
+def batch(emulator, dist, seed, trials):
     """The records of ``trials`` seeded trials; fails the test if any trial failed."""
     failures = []
-    records = list(run_trials(emulator, dist, q, seed, trials, failures))
+    records = list(run_trials(emulator, dist, seed, trials, failures))
     assert not failures
     return records
 
@@ -67,19 +67,17 @@ def sample_pool(dist: SourceDistribution, m: int, rng) -> list[LabeledPair]:
     return [source.reveal(source.next()) for _ in range(m)]
 
 
-def run_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair], q: int) -> RunRecord:
-    """Execute a pool algorithm on a sealed pool.
+def run_pool(alg: PoolAlgorithm, pool: Sequence[LabeledPair]) -> RunRecord:
+    """Execute a pool algorithm on a sealed pool of its size ``alg.m``.
 
     The pool algorithm observes every element, so ``n_iter`` equals the pool
-    size and ``n_sel`` equals the budget.
+    size and ``n_sel`` equals the budget ``alg.q``.
     """
     m = len(pool)
-    if q > m:
-        raise ValueError(f"budget q={q} exceeds pool size m={m}")
-    if getattr(alg, "m", m) != m:
+    if alg.m != m:
         raise ValueError(f"pool algorithm expects m={alg.m}, got pool of size {m}")
-    return RunRecord(tuple(interact_pool(alg, [p.element for p in pool], q,
-                                         pool.__getitem__)), q, m, None)
+    return RunRecord(tuple(interact_pool(alg, [p.element for p in pool],
+                                         pool.__getitem__)), alg.q, m, None)
 
 
 def complete_pool(hclass: HypothesisClass, target: int) -> list[LabeledPair]:
@@ -117,7 +115,7 @@ def pool_bit_learner(hclass: HypothesisClass, pool: Sequence[LabeledPair],
     """
     if q != hclass.q:
         raise InvalidShape(f"learner identifies exactly q={hclass.q} bits, got q={q}")
-    record = run_pool(BitIdentificationPool(hclass, len(pool)), pool, q)
+    record = run_pool(BitIdentificationPool(hclass, len(pool)), pool)
     return identify_bits(hclass, record.output), record
 
 

@@ -50,8 +50,8 @@ def utility_batches():
     out = {}
     for (m, q), seed in (((3, 1), 101), ((4, 2), 102), ((5, 2), 103),
                          ((10, 5), 104)):
-        emulator = ps.SecretaryEmulator(lambda e, h: e.base, m)
-        out[(m, q)] = batch(emulator, ps.uniform_interval(), q, seed, TRIALS_EQUIV)
+        emulator = ps.SecretaryEmulator(greedy(m, q))
+        out[(m, q)] = batch(emulator, ps.uniform_interval(), seed, TRIALS_EQUIV)
     return out
 
 
@@ -62,10 +62,10 @@ def rejection_batches():
     out = {}
     for (m, q), seed in (((3, 1), 111), ((4, 2), 112)):
         out[("greedy", m, q)] = batch(
-            ps.RejectionEmulator(greedy(m, q)), discrete, q, seed, TRIALS_EQUIV)
+            ps.RejectionEmulator(greedy(m, q)), discrete, seed, TRIALS_EQUIV)
         out[("coded", m, q)] = batch(
             ps.RejectionEmulator(ps.CodedPoolAlgorithm(m, q)),
-            ps.two_region_marginal(m), q, seed + 10, TRIALS_EQUIV)
+            ps.two_region_marginal(m), seed + 10, TRIALS_EQUIV)
     return out
 
 
@@ -140,11 +140,11 @@ def test_criterion_3_utility_stream_equivalence(utility_batches):
     canon = ps.RankPattern()
     worst = worst_binned = 0.0
     for m, q in ((3, 1), (4, 2), (5, 2), (10, 5)):
-        exact = ps.exact_pool_distribution(greedy(m, q), ps.uniform_interval(), m, q)
+        exact = ps.exact_pool_distribution(greedy(m, q), ps.uniform_interval())
         emp = ps.empirical_distribution(utility_batches[(m, q)], canon)
         worst = max(worst, ps.tv_distance(exact, emp))
         exact = ps.exact_pool_distribution(
-            greedy(m, q), ps.uniform_symbols(BINS, atomless=True), m, q)
+            greedy(m, q), ps.uniform_symbols(BINS, atomless=True))
         emp = ps.empirical_distribution(map(binned, utility_batches[(m, q)]),
                                         ps.DiscreteProjection())
         worst_binned = max(worst_binned, ps.tv_distance(exact, emp))
@@ -162,7 +162,7 @@ def test_criterion_4_rejection_equivalence(rejection_batches):
     discrete = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
     worst = 0.0
     for m, q in ((3, 1), (4, 2)):
-        exact = ps.exact_pool_distribution(greedy(m, q), discrete, m, q)
+        exact = ps.exact_pool_distribution(greedy(m, q), discrete)
         emp = ps.empirical_distribution(rejection_batches[("greedy", m, q)],
                                         ps.DiscreteProjection())
         worst = max(worst, ps.tv_distance(exact, emp))
@@ -245,15 +245,14 @@ def test_criterion_7_rejection_iteration_bound(rejection_batches):
         if trials is None:
             records = rejection_batches[("greedy", m, q)]
         else:
-            records = batch(ps.RejectionEmulator(greedy(m, q)), discrete, q,
-                            700 + m, trials)
+            records = batch(ps.RejectionEmulator(greedy(m, q)), discrete, 700 + m, trials)
         est = ps.mean_ci([float(r.n_iter) for r in records])
         bound = m * m * (math.e * m / (q - 1)) ** (q - 1)
         ok = ok and est.upper <= bound
         details.append(f"(m={m},q={q}) mean={est.mean:.1f} bound={bound:.1f}")
     # q = 1: acceptance probability is 1/m per redraw by symmetry, so the
     # expected number of observed elements is exactly m^2.
-    records = batch(ps.RejectionEmulator(greedy(3, 1)), discrete, 1, 710, 20_000)
+    records = batch(ps.RejectionEmulator(greedy(3, 1)), discrete, 710, 20_000)
     mean1 = float(np.mean([r.n_iter for r in records]))
     ok = ok and abs(mean1 - 9.0) / 9.0 <= 0.05
     details.append(f"(m=3,q=1) mean={mean1:.2f} target=9")
@@ -270,11 +269,11 @@ def test_criterion_8_counter_identities(utility_batches, rejection_batches):
     ok = True
     # selection-all emulator: both counters equal the pool size
     for r in batch(ps.NowaitEmulator(greedy(4, 2)),
-                   dist_atoms, 2, 801, 10_000):
+                   dist_atoms, 801, 10_000):
         ok = ok and r.n_iter == 4 and r.n_sel == 4
     # wait emulator: exactly q reveals
     for r in batch(ps.WaitEmulator(greedy(4, 2)),
-                   dist_atoms, 2, 802, 10_000):
+                   dist_atoms, 802, 10_000):
         ok = ok and r.n_sel == 2
     # rejection emulator: exactly q reveals on every equivalence batch
     for (_, _, q), records in rejection_batches.items():
@@ -283,7 +282,7 @@ def test_criterion_8_counter_identities(utility_batches, rejection_batches):
     rng = ps.trial_rng(803, 0)
     dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
     for _ in range(2_000):
-        record = run_pool(greedy(4, 2), sample_pool(dist, 4, rng), 2)
+        record = run_pool(greedy(4, 2), sample_pool(dist, 4, rng))
         ok = ok and record.n_iter == 4 and record.n_sel == 2
     report(8, ok, "counter identities: nowait m/m, wait q, rejection q, pool m/q")
 
@@ -324,7 +323,7 @@ def test_criterion_9_constructions():
                                    int(law.prob_one(float(b))))
                     for i, b in enumerate(bases)]
             got = frozenset(int(p.element.base)
-                            for p in run_pool(alg, pool, q).output)
+                            for p in run_pool(alg, pool).output)
             ok = ok and got == expected_output(fixture, t)
     report(9, ok, "bit learner exhaustive (q <= 8), permutation coding uniform, "
                   "chain outputs forced (q <= 5)")
@@ -347,7 +346,7 @@ def _chain_with_alphabet(q, n_min):
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_negative_control():
-    exact_pool = ps.exact_pool_distribution(greedy(4, 2), ps.uniform_interval(), 4, 2)
+    exact_pool = ps.exact_pool_distribution(greedy(4, 2), ps.uniform_interval())
     exact_first_q = first_q_exact_distribution(2)
     tv = ps.tv_distance(exact_pool, exact_first_q)
     report(10, tv > 0.1,

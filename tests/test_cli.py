@@ -23,7 +23,7 @@ def run_cli(args):
 def stub_run_trials(monkeypatch, records, failures=()):
     """Stand in for ``cli.run_trials``: yield ``records``, then list ``failures``,
     so a caller that reads the failures before the records run out sees none."""
-    def run_trials(emulator, dist, q, seed, trials, failed, max_iter=None):
+    def run_trials(emulator, dist, seed, trials, failed, max_iter=None):
         yield from records
         failed.extend(failures)
     monkeypatch.setattr(cli, "run_trials", run_trials)
@@ -523,7 +523,7 @@ class TestRunTrials:
         # Three rounds of m=5 need at least 5 + 4 + 3 draws, above the cap.
         emulator = ps.RejectionEmulator(ps.GreedyUtilityPool(lambda e, h: e.base, 5, 3))
         failures = []
-        assert list(cli.run_trials(emulator, ps.uniform_interval(), 3, 31, 4, failures,
+        assert list(cli.run_trials(emulator, ps.uniform_interval(), 31, 4, failures,
                                    max_iter=7)) == []
         assert [t for t, _ in failures] == [0, 1, 2, 3]
         assert all(isinstance(exc, ps.IterationCapExceeded) for _, exc in failures)
@@ -534,12 +534,12 @@ class TestRunTrials:
         want, want_failed = [], []
         for t in range(40):
             try:
-                want.append(ps.run_stream(emulator, dist, 2, ps.trial_rng(9, t), cap))
+                want.append(ps.run_stream(emulator, dist, ps.trial_rng(9, t), cap))
             except ps.IterationCapExceeded:
                 want_failed.append(t)
         assert want and want_failed  # the cap splits the batch
         failures = []
-        assert list(cli.run_trials(emulator, dist, 2, 9, 40, failures, cap)) == want
+        assert list(cli.run_trials(emulator, dist, 9, 40, failures, cap)) == want
         assert [t for t, _ in failures] == want_failed
 
     def test_trials_run_as_their_records_are_asked_for(self, monkeypatch):
@@ -547,7 +547,7 @@ class TestRunTrials:
         real = cli.run_stream
         monkeypatch.setattr(cli, "run_stream", lambda *args: calls.append(1) or real(*args))
         fixture = cli.build_fixture("greedy-max-discrete", 4, 2)
-        records = cli.run_trials(ps.NowaitEmulator(fixture.pool_alg), fixture.dist, 2,
+        records = cli.run_trials(ps.NowaitEmulator(fixture.pool_alg), fixture.dist,
                                  3, 10**6, [])
         assert calls == []
         next(records)
@@ -594,11 +594,11 @@ def test_used_source_pickles_and_replays_its_stream():
     for name in cli.FIXTURE_NAMES:
         fixture = cli.build_fixture(name, 8, 2)
         emulator = cli.build_emulator("gen" if fixture.dist.atomless else "wait", fixture)
-        record = ps.run_stream(emulator, fixture.dist, 2, ps.trial_rng(5, 0))
+        record = ps.run_stream(emulator, fixture.dist, ps.trial_rng(5, 0))
         assert plans <= vars(fixture.dist).keys()
         copy = pickle.loads(pickle.dumps(fixture.dist))
         assert copy == fixture.dist and not plans & vars(copy).keys()
-        assert ps.run_stream(emulator, copy, 2, ps.trial_rng(5, 0)) == record
+        assert ps.run_stream(emulator, copy, ps.trial_rng(5, 0)) == record
 
 
 class TestHypothesisFixture:

@@ -138,7 +138,7 @@ class TestCodedPool:
         m, q = 5, 3
         sigma = (2, 0, 3, 1)
         lows, hi = self.build_good_pool(m, sigma)
-        record = run_pool(ps.CodedPoolAlgorithm(m, q), lows + [hi], q)
+        record = run_pool(ps.CodedPoolAlgorithm(m, q), lows + [hi])
         got = [p.element for p in record.output]
         assert got[:2] == [lows[sigma[0]].element, lows[sigma[1]].element]
         assert got[2] == hi.element
@@ -147,30 +147,30 @@ class TestCodedPool:
         m, q = 5, 3
         sigma = (2, 0, 3, 1)
         lows, hi = self.build_good_pool(m, sigma, responses=1)
-        record = run_pool(ps.CodedPoolAlgorithm(m, q), lows + [hi], q)
+        record = run_pool(ps.CodedPoolAlgorithm(m, q), lows + [hi])
         got = [p.element for p in record.output]
         assert got[2] == lows[sigma[q - 1]].element
         assert all(e.base <= 1.0 for e in got)
 
     def test_single_round_budget_takes_high(self):
         lows, hi = self.build_good_pool(3, (0, 1))
-        record = run_pool(ps.CodedPoolAlgorithm(3, 1), lows + [hi], 1)
+        record = run_pool(ps.CodedPoolAlgorithm(3, 1), lows + [hi])
         assert record.output[0].element == hi.element
 
     def test_bad_pool_prefers_low_region_ascending(self):
         pool = [pair(0.8), pair(0.3), pair(1.4), pair(1.9)]
-        record = run_pool(ps.CodedPoolAlgorithm(4, 2), pool, 2)
+        record = run_pool(ps.CodedPoolAlgorithm(4, 2), pool)
         assert [p.element.base for p in record.output] == [0.3, 0.8]
 
     def test_bad_pool_falls_back_to_high_region(self):
         pool = [pair(0.8), pair(1.2), pair(1.4), pair(1.9)]
-        record = run_pool(ps.CodedPoolAlgorithm(4, 2), pool, 2)
+        record = run_pool(ps.CodedPoolAlgorithm(4, 2), pool)
         assert [p.element.base for p in record.output] == [1.2, 1.4]
 
     def test_infeasible_split_raises(self):
         pool = [pair(0.2), pair(0.8), pair(1.2), pair(1.9)]
         with pytest.raises(ps.InfeasiblePool):
-            run_pool(ps.CodedPoolAlgorithm(4, 3), pool, 3)
+            run_pool(ps.CodedPoolAlgorithm(4, 3), pool)
 
 
 class TestChainFixture:
@@ -222,7 +222,7 @@ class TestChainFixture:
             pool = [pair(float(b), tiebreak=(i + 1) / 50,
                          response=int(dist.prob_one(float(b))))
                     for i, b in enumerate(bases)]
-            record = run_pool(alg, pool, q)
+            record = run_pool(alg, pool)
             got = frozenset(int(p.element.base) for p in record.output)
             assert got == expected_output(fixture, t)
             # revealed responses follow the law: 1 exactly on symbol t
@@ -287,6 +287,15 @@ class TestHypothesisClass:
                 for i in range(1 << q)}
             assert len(signatures) == 1 << q
 
+    @pytest.mark.parametrize("target", [-1, 8, 99])
+    def test_source_refuses_a_target_outside_the_class(self, target):
+        # evaluate reads only q bits of the index, so 99 and -1 would alias
+        # targets 3 and 7 of the 2^3 hypotheses.
+        hc = ps.hypothesis_class(3, 2, 12)
+        with pytest.raises(ValueError, match=r"target must be in \[0, 7\]"):
+            hc.source(target)
+        assert hc.source(7).response_one != hc.source(3).response_one
+
 
 class TestBitLearner:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
@@ -324,9 +333,9 @@ class TestBitLearner:
         for target in range(8):
             # all five chain elements, so every query path is available
             needed = complete_pool(hc, target)[:5]
-            base_run = run_pool(ps.BitIdentificationPool(hc, 5), needed, 3)
+            base_run = run_pool(ps.BitIdentificationPool(hc, 5), needed)
             reference = sorted(base_run.output)
             for perm in itertools.permutations(range(5)):
                 shuffled = [needed[i] for i in perm]
-                record = run_pool(ps.BitIdentificationPool(hc, 5), shuffled, 3)
+                record = run_pool(ps.BitIdentificationPool(hc, 5), shuffled)
                 assert sorted(record.output) == reference

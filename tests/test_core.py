@@ -108,7 +108,7 @@ class TestSampling:
 class TestPoolProtocol:
     def test_budget_equals_pool_returns_everything(self):
         pool = [ps.LabeledPair(ps.Element(float(i), 0.0), i % 2) for i in range(3)]
-        record = run_pool(greedy(3, 3), pool, 3)
+        record = run_pool(greedy(3, 3), pool)
         assert sorted(record.output) == sorted(pool)
         # greedy exhausts the pool in score-descending order
         assert [p.element.base for p in record.output] == [2.0, 1.0, 0.0]
@@ -116,50 +116,66 @@ class TestPoolProtocol:
 
     def test_greedy_selection_order(self):
         pool = [ps.LabeledPair(ps.Element(b, 0.0), 0) for b in (0.1, 0.7, 0.4)]
-        record = run_pool(greedy(3, 2), pool, 2)
+        record = run_pool(greedy(3, 2), pool)
         assert [p.element.base for p in record.output] == [0.7, 0.4]
 
     def test_out_of_range_index_is_contract_violation(self):
         class Bad(ps.PoolAlgorithm):
-            m = 2
-            q = 1
-
             def select_next(self, elements, history, selected):
                 return 5
 
         pool = [ps.LabeledPair(ps.Element(0.0, 0.0), 0)] * 2
         with pytest.raises(ps.ContractViolation):
-            run_pool(Bad(), pool, 1)
+            run_pool(Bad(2, 1), pool)
 
     def test_repeated_index_is_contract_violation(self):
         class Stuck(ps.PoolAlgorithm):
-            m = 2
-            q = 2
-
             def select_next(self, elements, history, selected):
                 return 0
 
         pool = [ps.LabeledPair(ps.Element(float(i), 0.0), 0) for i in range(2)]
         with pytest.raises(ps.ContractViolation):
-            run_pool(Stuck(), pool, 2)
+            run_pool(Stuck(2, 2), pool)
 
     def test_bool_index_is_contract_violation(self):
         # True == 1, so an isinstance(idx, int) check would select index 1.
         class Truthy(ps.PoolAlgorithm):
-            m = 2
-            q = 1
-
             def select_next(self, elements, history, selected):
                 return True
 
         pool = [ps.LabeledPair(ps.Element(float(i), 0.0), 0) for i in range(2)]
         with pytest.raises(ps.ContractViolation, match="True"):
-            run_pool(Truthy(), pool, 1)
+            run_pool(Truthy(2, 1), pool)
 
     def test_budget_above_pool_size_rejected(self):
         pool = [ps.LabeledPair(ps.Element(0.0, 0.0), 0)]
         with pytest.raises(ValueError):
-            run_pool(greedy(1, 2), pool, 2)
+            run_pool(greedy(1, 2), pool)
+
+
+# Each shipped pool algorithm as a maker of (m, q).  The learner's budget is
+# its class's q; the class is built as a bare record, since hypothesis_class
+# refuses q = 0 itself.
+POOL_MAKERS = {
+    "greedy": greedy,
+    "coded": ps.CodedPoolAlgorithm,
+    "bit-identification": lambda m, q: ps.BitIdentificationPool(
+        ps.HypothesisClass(q, 1, 2 * q, {}, {}), m),
+}
+
+
+@pytest.mark.parametrize("q", [0, 4])
+@pytest.mark.parametrize("make", POOL_MAKERS.values(), ids=POOL_MAKERS)
+def test_pool_algorithm_refuses_a_budget_outside_one_to_m(make, q):
+    # m and q are stated and checked once, where the pool algorithm is built,
+    # so no pool run, emulator or exact law can start with a budget its pool
+    # cannot hold, and no later refusal blames a correct pool.
+    message = "q must be at least 1" if q < 1 else "budget q=4 exceeds pool size m=3"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(3, q)
+    for budget in (1, 3):
+        alg = make(3, budget)
+        assert (alg.m, alg.q) == (3, budget)
 
 
 def pool_fixtures():
@@ -181,56 +197,52 @@ def test_permutation_invariance(name, alg, dist):
     rng = ps.trial_rng(6, 0)
     for _ in range(40):
         pool = sample_pool(dist, 4, rng)
-        reference = sorted(p.element for p in run_pool(alg, pool, alg.q).output)
+        reference = sorted(p.element for p in run_pool(alg, pool).output)
         for perm in itertools.permutations(range(4)):
             shuffled = [pool[i] for i in perm]
-            got = sorted(p.element for p in run_pool(alg, shuffled, alg.q).output)
+            got = sorted(p.element for p in run_pool(alg, shuffled).output)
             assert got == reference
 
 
 class TestStreamProtocol:
     def test_cap_below_minimum_feasible(self):
         with pytest.raises(ps.IterationCapExceeded) as info:
-            ps.run_stream(ps.FirstQEmulator(), ps.uniform_symbols(2), 3,
+            ps.run_stream(ps.FirstQEmulator(greedy(3, 3)), ps.uniform_symbols(2),
                           ps.trial_rng(7, 0), max_iter=2)
         assert info.value.n_iter == 2
         assert info.value.n_sel == 2
         assert len(info.value.revealed) == 2
 
     def test_first_q_counters(self):
-        record = ps.run_stream(ps.FirstQEmulator(), ps.uniform_symbols(2), 3,
+        record = ps.run_stream(ps.FirstQEmulator(greedy(3, 3)), ps.uniform_symbols(2),
                                ps.trial_rng(8, 0))
         assert record.n_iter == record.n_sel == 3
         assert len(record.output) == 3
 
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            ps.run_stream(ps.FirstQEmulator(), ps.uniform_symbols(2), 0,
-                          ps.trial_rng(9, 0))
-
     def test_determinism_byte_for_byte(self):
         emulators = [
             ps.RejectionEmulator(greedy(3, 2)),
-            ps.SecretaryEmulator(lambda e, h: e.base, 3),
-            ps.FirstQEmulator(),
+            ps.SecretaryEmulator(greedy(3, 2)),
+            ps.FirstQEmulator(greedy(3, 2)),
         ]
         dist = ps.uniform_interval()
         for emulator in emulators:
-            a = ps.run_stream(emulator, dist, 2, ps.trial_rng(10, 4))
-            b = ps.run_stream(emulator, dist, 2, ps.trial_rng(10, 4))
+            a = ps.run_stream(emulator, dist, ps.trial_rng(10, 4))
+            b = ps.run_stream(emulator, dist, ps.trial_rng(10, 4))
             assert a == b
             assert repr(a) == repr(b)
 
     def test_pair_revealed_twice_is_contract_violation(self):
         class RevealTwice(ps.StreamEmulator):
-            def run(self, source, q):
+            def run(self, source):
                 element = source.next()
                 pair = source.reveal(element)
                 source.reveal(element)
-                return (pair,) * q
+                return (pair,) * self.pool_alg.q
 
         with pytest.raises(ps.ContractViolation, match="revealed twice"):
-            ps.run_stream(RevealTwice(), ps.uniform_interval(), 1, ps.trial_rng(12, 0))
+            ps.run_stream(RevealTwice(greedy(1, 1)), ps.uniform_interval(),
+                          ps.trial_rng(12, 0))
 
     def test_earlier_element_is_contract_violation(self):
         # A stream algorithm selects only right after observing: once a
@@ -281,14 +293,14 @@ class TestStreamProtocol:
         # The emulator returns q pairs, but builds them itself: the response
         # 1 under the constant-0 law was never revealed.
         class Forger(ps.StreamEmulator):
-            def run(self, source, q):
+            def run(self, source):
                 for _ in range(reveals):
                     source.reveal(source.next())
-                return (ps.LabeledPair(source.next(), 1),) * q
+                return (ps.LabeledPair(source.next(), 1),) * self.pool_alg.q
 
         with pytest.raises(ps.ContractViolation,
                            match=f"revealed {reveals} responses, fewer than q=2"):
-            ps.run_stream(Forger(), ps.uniform_symbols(2), 2, ps.trial_rng(12, 3))
+            ps.run_stream(Forger(greedy(2, 2)), ps.uniform_symbols(2), ps.trial_rng(12, 3))
 
     @pytest.mark.parametrize("forge", [lambda p: ps.LabeledPair(p.element, 1 - p.response),
                                        lambda p: ps.LabeledPair(*p)],
@@ -297,29 +309,31 @@ class TestStreamProtocol:
         # Every response is revealed, but the output pairs are built anew:
         # a flipped one carries a response no reveal unsealed.
         class Forger(ps.StreamEmulator):
-            def run(self, source, q):
-                return tuple(forge(source.reveal(source.next())) for _ in range(q))
+            def run(self, source):
+                return tuple(forge(source.reveal(source.next()))
+                             for _ in range(self.pool_alg.q))
 
         with pytest.raises(ps.ContractViolation, match="was not returned by reveal"):
-            ps.run_stream(Forger(), ps.uniform_symbols(2), 2, ps.trial_rng(0, 0))
+            ps.run_stream(Forger(greedy(2, 2)), ps.uniform_symbols(2), ps.trial_rng(0, 0))
 
     def test_pair_returned_twice_is_contract_violation(self):
         # Both pairs are revealed and returned by reveal, but the output
         # holds the first one twice: one selection counted as two.
         class Repeater(ps.StreamEmulator):
-            def run(self, source, q):
+            def run(self, source):
+                q = self.pool_alg.q
                 pairs = [source.reveal(source.next()) for _ in range(q)]
                 return (pairs[0],) * q
 
         with pytest.raises(ps.ContractViolation, match="is returned twice"):
-            ps.run_stream(Repeater(), ps.uniform_symbols(2), 2, ps.trial_rng(0, 0))
+            ps.run_stream(Repeater(greedy(2, 2)), ps.uniform_symbols(2), ps.trial_rng(0, 0))
 
     def test_trial_streams_are_order_independent(self):
         dist = ps.uniform_interval()
-        emulator = ps.FirstQEmulator()
-        records = [ps.run_stream(emulator, dist, 2, ps.trial_rng(11, t))
+        emulator = ps.FirstQEmulator(greedy(2, 2))
+        records = [ps.run_stream(emulator, dist, ps.trial_rng(11, t))
                    for t in (3, 1)]
-        again = ps.run_stream(emulator, dist, 2, ps.trial_rng(11, 3))
+        again = ps.run_stream(emulator, dist, ps.trial_rng(11, 3))
         assert records[0] == again
 
 
@@ -328,12 +342,12 @@ def test_run_record_invariants_hold_across_emulators():
     emulators = [
         ps.NowaitEmulator(greedy(4, 2)),
         ps.RejectionEmulator(greedy(4, 2)),
-        ps.SecretaryEmulator(lambda e, h: e.base, 4),
-        ps.FirstQEmulator(),
+        ps.SecretaryEmulator(greedy(4, 2)),
+        ps.FirstQEmulator(greedy(4, 2)),
     ]
     for emulator in emulators:
         for t in range(30):
-            record = ps.run_stream(emulator, dist, 2, ps.trial_rng(12, t))
+            record = ps.run_stream(emulator, dist, ps.trial_rng(12, t))
             assert len(record.output) == 2
             assert record.n_iter >= record.n_sel >= 2
             assert all(p.response in (0, 1) for p in record.output)
@@ -357,6 +371,19 @@ class TestTrialRng:
     def test_negative_inputs_raise(self, seed, trial):
         with pytest.raises(ValueError):
             ps.trial_rng(seed, trial)
+
+    @pytest.mark.parametrize("seed,trial", [(1.5, 0), (0, 2.9), (1.0, 0)])
+    def test_non_integer_inputs_raise_as_numpy_does(self, seed, trial):
+        # int() would truncate 1.5 to seed 1 and 2.9 to trial 2, handing out
+        # another key's stream; numpy's SeedSequence refuses them.
+        with pytest.raises(TypeError):
+            np.random.SeedSequence([seed, trial])
+        with pytest.raises(TypeError):
+            ps.trial_rng(seed, trial)
+
+    def test_numpy_integer_inputs_are_integers(self):
+        expected = np.random.default_rng(np.random.SeedSequence([3, 7])).random(8)
+        assert np.array_equal(ps.trial_rng(np.int64(3), np.uint32(7)).random(8), expected)
 
     def test_trial_seed_hands_out_only_four_uint64_words(self):
         seed_seq = ps.trial_rng(3, 7).bit_generator.seed_seq
@@ -558,8 +585,7 @@ def test_responses_stay_sealed_until_reveal():
     assert calls == [element.base]
     for t in range(20):
         calls.clear()
-        record = ps.run_stream(ps.SecretaryEmulator(lambda e, h: e.base, 5), dist, 2,
-                               ps.trial_rng(18, t))
+        record = ps.run_stream(ps.SecretaryEmulator(greedy(5, 2)), dist, ps.trial_rng(18, t))
         assert len(calls) == record.n_sel
         assert record.n_iter > record.n_sel
 
@@ -669,10 +695,10 @@ RECORD_SAMPLES = [
      "HypothesisClass(q=1, T=1, n=1, kj_to_base={(1, 0): 0.0}, base_to_kj={0.0: (1, 0)})"),
     (lambda: ps.optimal_policy(10), "threshold",
      "SecretaryPolicy(n=10, threshold=4, p_sp=0.3986904761904761)"),
-    (lambda: cli.Fixture("greedy-max", 4, 2, ps.uniform_interval(), None, None), "dist",
-     "Fixture(name='greedy-max', m=4, q=2, dist=SourceDistribution(marginal=IntervalMarginal("
+    (lambda: cli.Fixture("greedy-max", ps.uniform_interval(), None, None), "dist",
+     "Fixture(name='greedy-max', dist=SourceDistribution(marginal=IntervalMarginal("
      "pieces=((0.0, 1.0, 1.0),)), response_one=0.0, atomless=True), pool_alg=None, "
-     "exact=None, utility=None)"),
+     "exact=None)"),
 ]
 
 

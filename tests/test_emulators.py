@@ -52,17 +52,9 @@ def test_output_pairs_are_the_revealed_pairs(emulator, fixture, m):
     runner = cli.build_emulator(emulator, fix)
     for trial in range(5):
         source = StreamSource(fix.dist, ps.trial_rng(22, trial))
-        output = runner.run(source, 2)
+        output = runner.run(source)
         assert len(output) == 2
         assert {id(pair) for pair in output} <= {id(pair) for pair in source.revealed}
-
-
-@pytest.mark.parametrize("emulator", [ps.WaitEmulator, ps.NowaitEmulator])
-def test_pool_replay_refuses_a_budget_above_the_pool(emulator):
-    # As the rejection and secretary emulators do, before any pool call.
-    source = StreamSource(ps.uniform_symbols(3), ps.trial_rng(0, 0))
-    with pytest.raises(ValueError, match=r"^budget q=3 exceeds pool size m=2$"):
-        emulator(greedy(2, 3)).run(source, 3)
 
 
 class TestWaitEmulator:
@@ -71,8 +63,7 @@ class TestWaitEmulator:
         # arrival matches, so every run costs exactly two observations.
         emulator = ps.WaitEmulator(greedy(1, 1))
         for t in range(200):
-            record = ps.run_stream(emulator, point_mass(3.0), 1,
-                                   ps.trial_rng(20, t))
+            record = ps.run_stream(emulator, point_mass(3.0), ps.trial_rng(20, t))
             assert record.n_iter == 2
             assert record.n_sel == 1
 
@@ -82,13 +73,13 @@ class TestWaitEmulator:
         emulator = ps.WaitEmulator(greedy(4, 1))
         dist = ps.uniform_symbols(4)
         waits = [r.n_iter - 4
-                 for r in batch(emulator, dist, 1, 21, 10**5)]
+                 for r in batch(emulator, dist, 21, 10**5)]
         assert 3.88 <= np.mean(waits) <= 4.12
 
     def test_rejects_atomless_sources(self):
         emulator = ps.WaitEmulator(greedy(2, 1))
         with pytest.raises(ps.AtomlessDistribution):
-            ps.run_stream(emulator, ps.uniform_interval(), 1, ps.trial_rng(22, 0))
+            ps.run_stream(emulator, ps.uniform_interval(), ps.trial_rng(22, 0))
 
     def test_rejects_interval_marginal_without_tiebreaks(self):
         # Not atomless by flag, yet no real base ever recurs.
@@ -96,11 +87,11 @@ class TestWaitEmulator:
         dist = ps.SourceDistribution(ps.IntervalMarginal(((0.0, 1.0, 1.0),)),
                                      atomless=False)
         with pytest.raises(ps.AtomlessDistribution):
-            ps.run_stream(emulator, dist, 1, ps.trial_rng(22, 1), max_iter=200000)
+            ps.run_stream(emulator, dist, ps.trial_rng(22, 1), max_iter=200000)
 
     def test_reveals_exactly_q(self):
         emulator = ps.WaitEmulator(greedy(4, 2))
-        for record in batch(emulator, ps.uniform_symbols(3), 2, 23, 200):
+        for record in batch(emulator, ps.uniform_symbols(3), 23, 200):
             assert record.n_sel == 2
 
     @pytest.mark.parametrize("picks,message,n_iter,n_sel", [
@@ -112,23 +103,20 @@ class TestWaitEmulator:
         # round 1 only the m-element prefix has been observed; a repeat can
         # first come in round 2, after round 1's wait of one element.
         class Scripted(ps.PoolAlgorithm):
-            m = 2
-            q = len(picks)
-
             def select_next(self, elements, history, selected):
                 return picks[len(history)]
 
         source = FakeSource([ps.LabeledPair(ps.Element(b, 0.0), 0)
                              for b in (0.0, 1.0, 0.0, 1.0, 0.0)], atomless=False)
         with pytest.raises(ps.ContractViolation, match=message):
-            ps.WaitEmulator(Scripted()).run(source, len(picks))
+            ps.WaitEmulator(Scripted(2, len(picks))).run(source)
         assert (source.n_iter, source.n_sel) == (n_iter, n_sel)
 
 
 class TestNowaitEmulator:
     def test_counters_equal_pool_size(self):
         emulator = ps.NowaitEmulator(greedy(4, 2))
-        for record in batch(emulator, ps.uniform_symbols(3), 2, 24, 200):
+        for record in batch(emulator, ps.uniform_symbols(3), 24, 200):
             assert record.n_iter == 4
             assert record.n_sel == 4
             assert len(record.output) == 2
@@ -136,7 +124,7 @@ class TestNowaitEmulator:
     def test_forced_stream_selects_argmax(self):
         source = FakeSource([ps.LabeledPair(ps.Element(b, 0.0), 0)
                              for b in (0.1, 0.7, 0.4)])
-        out = ps.NowaitEmulator(greedy(3, 1)).run(source, 1)
+        out = ps.NowaitEmulator(greedy(3, 1)).run(source)
         assert [p.element.base for p in out] == [0.7]
         assert source.n_sel == 3
 
@@ -146,10 +134,10 @@ class TestNowaitEmulator:
         canon = ps.DiscreteProjection()
         trials = 20000
         wait = ps.empirical_distribution(
-            batch(ps.WaitEmulator(greedy(2, 2)), dist, 2, 25, trials),
+            batch(ps.WaitEmulator(greedy(2, 2)), dist, 25, trials),
             canon)
         nowait = ps.empirical_distribution(
-            batch(ps.NowaitEmulator(greedy(2, 2)), dist, 2, 26, trials),
+            batch(ps.NowaitEmulator(greedy(2, 2)), dist, 26, trials),
             canon)
         assert ps.tv_distance(wait, nowait) <= 0.03
 
@@ -158,66 +146,62 @@ class TestRejectionEmulator:
     def test_single_element_pool_accepts_first_draw(self):
         emulator = ps.RejectionEmulator(greedy(1, 1))
         for t in range(100):
-            record = ps.run_stream(emulator, ps.uniform_interval(), 1,
-                                   ps.trial_rng(27, t))
+            record = ps.run_stream(emulator, ps.uniform_interval(), ps.trial_rng(27, t))
             assert record.n_iter == 1
             assert record.n_sel == 1
 
     def test_mean_iterations_single_selection(self):
         # Acceptance per redraw is 1/m by symmetry, m draws each: E = m^2.
         emulator = ps.RejectionEmulator(greedy(3, 1))
-        records = batch(emulator, ps.uniform_interval(), 1, 28, 20000)
+        records = batch(emulator, ps.uniform_interval(), 28, 20000)
         assert 8.7 <= np.mean([r.n_iter for r in records]) <= 9.3
 
     def test_reveals_exactly_q(self):
         emulator = ps.RejectionEmulator(greedy(4, 2))
         dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
-        for record in batch(emulator, dist, 2, 29, 300):
+        for record in batch(emulator, dist, 29, 300):
             assert record.n_sel == 2
 
     def test_rejects_atom_bearing_sources(self):
         emulator = ps.RejectionEmulator(greedy(2, 1))
         with pytest.raises(ps.AtomlessDistribution):
-            ps.run_stream(emulator, ps.uniform_symbols(2), 1, ps.trial_rng(30, 0))
+            ps.run_stream(emulator, ps.uniform_symbols(2), ps.trial_rng(30, 0))
 
     def test_iteration_cap_attaches_progress(self):
         emulator = ps.RejectionEmulator(greedy(5, 3))
         with pytest.raises(ps.IterationCapExceeded) as info:
-            ps.run_stream(emulator, ps.uniform_interval(), 3,
-                          ps.trial_rng(31, 0), max_iter=7)
+            ps.run_stream(emulator, ps.uniform_interval(), ps.trial_rng(31, 0), max_iter=7)
         assert info.value.n_iter == 7
         assert info.value.n_sel <= 3
 
     def test_distribution_matches_pool(self):
         dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
         alg = greedy(4, 2)
-        exact = ps.exact_pool_distribution(alg, dist, 4, 2)
+        exact = ps.exact_pool_distribution(alg, dist)
         empirical = ps.empirical_distribution(
-            batch(ps.RejectionEmulator(alg), dist, 2, 32, 20000), ps.DiscreteProjection())
+            batch(ps.RejectionEmulator(alg), dist, 32, 20000), ps.DiscreteProjection())
         assert ps.tv_distance(exact, empirical) <= 0.03
 
 
 class TestSecretaryEmulator:
     def test_trivial_horizon(self):
-        emulator = ps.SecretaryEmulator(lambda e, h: e.base, 1)
-        record = ps.run_stream(emulator, ps.uniform_interval(), 1,
-                               ps.trial_rng(33, 0))
+        emulator = ps.SecretaryEmulator(greedy(1, 1))
+        record = ps.run_stream(emulator, ps.uniform_interval(), ps.trial_rng(33, 0))
         assert record.n_iter == 1 and record.n_sel == 1
         assert record.round_attempts == (1,)
 
     def test_rejects_atom_bearing_sources(self):
-        emulator = ps.SecretaryEmulator(lambda e, h: e.base, 2)
+        emulator = ps.SecretaryEmulator(greedy(2, 1))
         with pytest.raises(ps.AtomlessDistribution):
-            ps.run_stream(emulator, ps.uniform_symbols(2), 1, ps.trial_rng(34, 0))
+            ps.run_stream(emulator, ps.uniform_symbols(2), ps.trial_rng(34, 0))
 
     def test_selection_scores_strictly_decrease(self):
         # Domain filtering means later accepted elements score below every
         # earlier cutoff, evaluated against the history of its round.
         utility = lambda e, h: e.base
-        emulator = ps.SecretaryEmulator(utility, 5)
+        emulator = ps.SecretaryEmulator(ps.GreedyUtilityPool(utility, 5, 3))
         for t in range(100):
-            record = ps.run_stream(emulator, ps.uniform_interval(), 3,
-                                   ps.trial_rng(35, t))
+            record = ps.run_stream(emulator, ps.uniform_interval(), ps.trial_rng(35, t))
             out = record.output
             for i in range(1, 3):
                 for j in range(i):
@@ -241,7 +225,7 @@ class TestSecretaryEmulator:
                                      for s in scores + sure_win])
                 cases += 1
                 try:
-                    ps.SecretaryEmulator(lambda e, h: e.base, n).run(source, 1)
+                    ps.SecretaryEmulator(greedy(n, 1)).run(source)
                 except IndexError:  # ran past both scripted attempts
                     mismatches.append(scores)
                     continue
@@ -254,8 +238,8 @@ class TestSecretaryEmulator:
         assert len(mismatches) == 0, mismatches[:5]
 
     def test_round_attempt_means(self):
-        emulator = ps.SecretaryEmulator(lambda e, h: e.base, 4)
-        records = batch(emulator, ps.uniform_interval(), 2, 36, 20000)
+        emulator = ps.SecretaryEmulator(greedy(4, 2))
+        records = batch(emulator, ps.uniform_interval(), 36, 20000)
         attempts = np.mean([r.round_attempts for r in records], axis=0)
         # Horizons shrink per round: expected attempts are 1/p(4), 1/p(3).
         assert abs(attempts[0] - 24 / 11) < 0.06
@@ -264,10 +248,10 @@ class TestSecretaryEmulator:
     def test_distribution_matches_pool_on_discrete_base(self):
         dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
         alg = greedy(4, 2)
-        exact = ps.exact_pool_distribution(alg, dist, 4, 2)
-        emulator = ps.SecretaryEmulator(lambda e, h: e.base, 4)
+        exact = ps.exact_pool_distribution(alg, dist)
+        emulator = ps.SecretaryEmulator(alg)
         empirical = ps.empirical_distribution(
-            batch(emulator, dist, 2, 37, 20000), ps.DiscreteProjection())
+            batch(emulator, dist, 37, 20000), ps.DiscreteProjection())
         assert ps.tv_distance(exact, empirical) <= 0.03
 
     def test_history_dependent_utility_equivalence(self):
@@ -279,9 +263,9 @@ class TestSecretaryEmulator:
 
         dist = ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI)
         alg = ps.GreedyUtilityPool(flip, 4, 2)
-        exact = ps.exact_pool_distribution(alg, dist, 4, 2)
+        exact = ps.exact_pool_distribution(alg, dist)
         empirical = ps.empirical_distribution(
-            batch(ps.SecretaryEmulator(flip, 4), dist, 2, 38, 20000),
+            batch(ps.SecretaryEmulator(alg), dist, 38, 20000),
             ps.DiscreteProjection())
         assert ps.tv_distance(exact, empirical) <= 0.03
 
@@ -291,9 +275,9 @@ class TestTies:
         # Equal elements sharing the top key are one value: the lowest index
         # is kept, for one pair twice as for two pairs of one element.
         same = ps.LabeledPair(ps.Element(1.0, 0.0), 0)
-        assert run_pool(greedy(2, 1), [same] * 2, 1).output == (same,)
+        assert run_pool(greedy(2, 1), [same] * 2).output == (same,)
         pool = [ps.LabeledPair(ps.Element(1.0, 0.0), i) for i in range(2)]
-        record = run_pool(greedy(2, 2), pool, 2)
+        record = run_pool(greedy(2, 2), pool)
         assert [p.response for p in record.output] == [0, 1]
 
     def test_duplicate_values_raise_without_tiebreak(self):
@@ -302,16 +286,16 @@ class TestTies:
         alg = ps.GreedyUtilityPool(coarse_utility, 3, 1)
         pool = [ps.LabeledPair(ps.Element(b, 0.0), 0) for b in (1.0, 0.0, 2.0)]
         with pytest.raises(ps.TieDetected, match="unequal pool elements"):
-            run_pool(alg, pool, 1)
+            run_pool(alg, pool)
         # A tie below a strictly better key is no tie at the top.
         pool = [ps.LabeledPair(ps.Element(b, 0.0), 0) for b in (0.0, 0.5, 1.0)]
-        assert run_pool(alg, pool, 1).output == (pool[2],)
+        assert run_pool(alg, pool).output == (pool[2],)
 
     def test_wait_on_atoms_raises_on_unequal_ties(self):
         alg = ps.GreedyUtilityPool(coarse_utility, 4, 2)
         dist = ps.uniform_symbols(3, response_one=BERNOULLI)
         with pytest.raises(ps.TieDetected):
-            batch(ps.WaitEmulator(alg), dist, 2, 0, 20)
+            batch(ps.WaitEmulator(alg), dist, 0, 20)
 
     def test_greedy_pool_takes_no_tie_mode(self):
         with pytest.raises(TypeError):

@@ -110,9 +110,10 @@ def reference_two_region(m, q, response_one=0.0):
 
 
 def reference_law(fixture):
+    m, q = fixture.pool_alg.m, fixture.pool_alg.q
     if fixture.name == "thm3-good-pool":
-        return reference_two_region(fixture.m, fixture.q)
-    return reference_exact(fixture.pool_alg, fixture.dist, fixture.m, fixture.q)
+        return reference_two_region(m, q)
+    return reference_exact(fixture.pool_alg, fixture.dist, m, q)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_matches_reference_enumerator(name, m, q, variant):
 def test_matches_reference_under_random_responses():
     greedy = ps.GreedyUtilityPool(lambda e, h: e.base, 5, 3)
     dist = ps.uniform_interval(response_one=0.3)
-    pairs = [(ps.exact_pool_distribution(greedy, dist, 5, 3),
+    pairs = [(ps.exact_pool_distribution(greedy, dist),
               reference_exact(greedy, dist, 5, 3)),
              (ps.two_region_exact_distribution(5, 2, response_one=0.5),
               reference_two_region(5, 2, response_one=0.5))]

@@ -72,11 +72,8 @@ def reference_greedy_select(alg, elements, history, selected):
 class ReferenceRejection(ps.StreamEmulator):
     """``RejectionEmulator`` rebuilding the replayed elements on every draw."""
 
-    def __init__(self, pool_alg):
-        self.pool_alg = pool_alg
-
-    def run(self, source, q):
-        m = self.pool_alg.m
+    def run(self, source):
+        m, q = self.pool_alg.m, self.pool_alg.q
         committed = []
         for i in range(1, q + 1):
             width = m - i + 1
@@ -107,13 +104,9 @@ class ReferenceRejection(ps.StreamEmulator):
 class ReferenceSecretary(ps.StreamEmulator):
     """``SecretaryEmulator`` testing the domain filters oldest first."""
 
-    def __init__(self, utility, m):
-        self.utility = utility
-        self.m = m
-
-    def run(self, source, q):
-        m = self.m
-        utility = self.utility
+    def run(self, source):
+        m, q = self.pool_alg.m, self.pool_alg.q
+        utility = self.pool_alg.utility
         accepted = []
         filters = []
         attempts_log = []
@@ -231,13 +224,13 @@ def failure_view(failures):
     return [(t, type(e), e.n_iter, e.n_sel, e.revealed) for t, e in failures]
 
 
-def assert_same_runs(emulator, reference, dist, q, seed, trials, max_iter=20_000):
+def assert_same_runs(emulator, reference, dist, seed, trials, max_iter=20_000):
     # Both sides run under the same cap and their failures are compared, so
     # the cap hides no difference; it turns a replay that can never accept
     # into failed trials instead of a hang.
     got_failed, want_failed = [], []
-    got = list(run_trials(emulator, dist, q, seed, trials, got_failed, max_iter))
-    want = list(run_trials(reference, dist, q, seed, trials, want_failed, max_iter))
+    got = list(run_trials(emulator, dist, seed, trials, got_failed, max_iter))
+    want = list(run_trials(reference, dist, seed, trials, want_failed, max_iter))
     assert len(got) == len(want)
     bad = [t for t, (a, b) in enumerate(zip(got, want)) if a != b]
     assert not bad, (bad[:5], got[bad[0]], want[bad[0]])
@@ -272,17 +265,19 @@ SECRETARY_CASES = [
 @pytest.mark.parametrize("name,utility,dist,m,q,trials", SECRETARY_CASES,
                          ids=[c[0] for c in SECRETARY_CASES])
 def test_secretary_matches_reference(name, utility, dist, m, q, trials):
-    records, _ = assert_same_runs(ps.SecretaryEmulator(utility, m),
-                                  ReferenceSecretary(utility, m), dist, q, 520, trials)
+    alg = ps.GreedyUtilityPool(utility, m, q)
+    records, _ = assert_same_runs(ps.SecretaryEmulator(alg), ReferenceSecretary(alg),
+                                  dist, 520, trials)
     assert all(len(r.round_attempts) == q for r in records)
 
 
 @pytest.mark.parametrize("m,q", [(8, 2), (16, 3)])
 def test_secretary_matches_reference_on_every_chain_law(m, q):
     chain = ps.chain_fixture(m, q)
+    alg = ps.GreedyUtilityPool(chain.utility, m, q)
     for law, dist in enumerate(chain.dists):
-        assert_same_runs(ps.SecretaryEmulator(chain.utility, m),
-                         ReferenceSecretary(chain.utility, m), dist, q, 530 + law, 150)
+        assert_same_runs(ps.SecretaryEmulator(alg), ReferenceSecretary(alg), dist,
+                         530 + law, 150)
 
 
 # Under the response law 0 no replay reaches the coded pool's final-round
@@ -294,7 +289,7 @@ def test_secretary_matches_reference_on_every_chain_law(m, q):
 def test_rejection_matches_reference_on_coded_pool(m, q, trials, response_one):
     alg = ps.CodedPoolAlgorithm(m, q)
     records, _ = assert_same_runs(ps.RejectionEmulator(alg), ReferenceRejection(alg),
-                                  ps.two_region_marginal(m, response_one), q, 540, trials)
+                                  ps.two_region_marginal(m, response_one), 540, trials)
     assert all(r.n_sel == q for r in records)
     if response_one:
         assert any(pair.response for r in records for pair in r.output[:-1])
@@ -303,7 +298,7 @@ def test_rejection_matches_reference_on_coded_pool(m, q, trials, response_one):
 def test_rejection_matches_reference_under_a_cap():
     alg = ps.CodedPoolAlgorithm(5, 3)
     _, failures = assert_same_runs(ps.RejectionEmulator(alg), ReferenceRejection(alg),
-                                   ps.two_region_marginal(5), 3, 541, 60, max_iter=60)
+                                   ps.two_region_marginal(5), 541, 60, max_iter=60)
     assert 0 < len(failures) < 60
 
 
@@ -311,7 +306,7 @@ def test_rejection_matches_reference_on_greedy_pool():
     alg = ps.GreedyUtilityPool(base_utility, 4, 2)
     assert_same_runs(ps.RejectionEmulator(alg), ReferenceRejection(alg),
                      ps.uniform_symbols(3, atomless=True, response_one=BERNOULLI),
-                     2, 542, 300)
+                     542, 300)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ class TestMeanCI:
 class TestExactPoolDistribution:
     def test_budget_equals_pool_gives_content_distribution(self):
         dist = ps.uniform_symbols(2)
-        out = ps.exact_pool_distribution(greedy(2, 2), dist, 2, 2)
+        out = ps.exact_pool_distribution(greedy(2, 2), dist)
         assert out.support[((0.0, 0), (0.0, 0))] == pytest.approx(0.25)
         assert out.support[((0.0, 0), (1.0, 0))] == pytest.approx(0.5)
         assert out.support[((1.0, 0), (1.0, 0))] == pytest.approx(0.25)
@@ -128,19 +128,19 @@ class TestExactPoolDistribution:
     def test_greedy_single_pick_two_symbols(self):
         # Output {b} unless the pool is all-a: mass 3/4.
         dist = ps.uniform_symbols(2)
-        out = ps.exact_pool_distribution(greedy(2, 1), dist, 2, 1)
+        out = ps.exact_pool_distribution(greedy(2, 1), dist)
         assert out.support[((1.0, 0),)] == pytest.approx(0.75)
         assert out.support[((0.0, 0),)] == pytest.approx(0.25)
 
     def test_response_branching_weights(self):
         dist = ps.uniform_symbols(1, response_one=0.3)
-        out = ps.exact_pool_distribution(greedy(1, 1), dist, 1, 1)
+        out = ps.exact_pool_distribution(greedy(1, 1), dist)
         assert out.support[((0.0, 1),)] == pytest.approx(0.3)
         assert out.support[((0.0, 0),)] == pytest.approx(0.7)
 
     def test_masses_sum_to_one(self):
         dist = ps.uniform_symbols(3, response_one={0.0: 0.2, 1.0: 0.5, 2.0: 0.8})
-        out = ps.exact_pool_distribution(greedy(4, 2), dist, 4, 2)
+        out = ps.exact_pool_distribution(greedy(4, 2), dist)
         assert out.total() == pytest.approx(1.0, abs=1e-9)
 
     def test_symbol_order_does_not_matter(self):
@@ -149,14 +149,14 @@ class TestExactPoolDistribution:
             ps.DiscreteMarginal((0.0, 1.0, 2.0), (0.2, 0.3, 0.5)), law)
         backward = ps.SourceDistribution(
             ps.DiscreteMarginal((2.0, 1.0, 0.0), (0.5, 0.3, 0.2)), law)
-        a = ps.exact_pool_distribution(greedy(3, 2), forward, 3, 2)
-        b = ps.exact_pool_distribution(greedy(3, 2), backward, 3, 2)
+        a = ps.exact_pool_distribution(greedy(3, 2), forward)
+        b = ps.exact_pool_distribution(greedy(3, 2), backward)
         assert a.support.keys() == b.support.keys()
         for key in a.support:
             assert a.support[key] == pytest.approx(b.support[key])
 
     def test_rank_enumeration_point_mass_for_greedy(self):
-        out = ps.exact_pool_distribution(greedy(4, 2), ps.uniform_interval(), 4, 2)
+        out = ps.exact_pool_distribution(greedy(4, 2), ps.uniform_interval())
         assert out.support == {((0, 2, 0), (0, 1, 0)): pytest.approx(1.0)}
 
     def test_chain_outputs_forced_on_pools_containing_the_chain(self):
@@ -174,7 +174,7 @@ class TestExactPoolDistribution:
                 continue
             pool = [pair(float(s), tiebreak=(i + 1) / 10)
                     for i, s in enumerate(combo)]
-            record = run_pool(alg, pool, 2)
+            record = run_pool(alg, pool)
             assert ps.DiscreteProjection()(record) == target
 
     @pytest.mark.parametrize("atomless", [True, False], ids=["atomless", "atoms"])
@@ -185,25 +185,18 @@ class TestExactPoolDistribution:
         alg = ps.GreedyUtilityPool(coarse_utility, 4, 2)
         dist = ps.uniform_symbols(3, atomless=atomless, response_one=BERNOULLI)
         with pytest.raises(ps.TieDetected):
-            ps.exact_pool_distribution(alg, dist, 4, 2)
+            ps.exact_pool_distribution(alg, dist)
 
     def test_discrete_budget_guard(self):
         # C(39, 9) multisets x 2^2 responses is about 8.5e8.
         dist = ps.uniform_symbols(10)
         with pytest.raises(TooLargeToEnumerate):
-            ps.exact_pool_distribution(greedy(30, 2), dist, 30, 2)
+            ps.exact_pool_distribution(greedy(30, 2), dist)
 
     def test_two_region_budget_guard(self):
         # 10! coded pools x 2^2 responses is about 1.5e7; m = 10 still enumerates.
         with pytest.raises(TooLargeToEnumerate, match="10! coded pools"):
             ps.two_region_exact_distribution(11, 2)
-
-    def test_budget_above_pool_is_refused_before_any_pool_call(self):
-        # A greedy pool is correct; the refusal is the enumerator's, not a
-        # contract violation blamed on it.
-        alg = ps.GreedyUtilityPool(lambda e, h: e.base, 2, 3)
-        with pytest.raises(ValueError, match="budget q=3 exceeds pool size m=2"):
-            ps.exact_pool_distribution(alg, ps.uniform_symbols(2, atomless=True), 2, 3)
 
     def test_m10_q5_laws_enumerate(self):
         out = build_fixture("greedy-max", 10, 5).exact()
@@ -217,26 +210,23 @@ class TestExactPoolDistribution:
                              ids=["bool-index", "repeated-index"])
     def test_selection_contract_is_enforced(self, pick):
         class Broken(ps.PoolAlgorithm):
-            m, q = 3, 2
-
             def select_next(self, elements, history, selected):
                 return pick(selected)
 
         for dist in (ps.uniform_symbols(2), ps.uniform_interval()):
             with pytest.raises(ContractViolation):
-                ps.exact_pool_distribution(Broken(), dist, 3, 2)
+                ps.exact_pool_distribution(Broken(3, 2), dist)
 
     def test_rank_mode_guards(self):
         # One pool, but 2^24 response branches.
         with pytest.raises(TooLargeToEnumerate):
-            ps.exact_pool_distribution(greedy(30, 24), ps.uniform_interval(), 30, 24)
+            ps.exact_pool_distribution(greedy(30, 24), ps.uniform_interval())
         varying = ps.SourceDistribution(
             ps.IntervalMarginal(((0.0, 1.0, 1.0),)), {0.5: 1.0}, atomless=True)
         with pytest.raises(TooLargeToEnumerate):
-            ps.exact_pool_distribution(greedy(3, 1), varying, 3, 1)
+            ps.exact_pool_distribution(greedy(3, 1), varying)
         with pytest.raises(TooLargeToEnumerate):
-            ps.exact_pool_distribution(
-                ps.CodedPoolAlgorithm(3, 1), ps.two_region_marginal(3), 3, 1)
+            ps.exact_pool_distribution(ps.CodedPoolAlgorithm(3, 1), ps.two_region_marginal(3))
 
 
 class TestTwoRegionExact:
@@ -296,7 +286,8 @@ class TestFirstQExact:
     def test_matches_simulation(self):
         failures = []
         empirical = ps.empirical_distribution(
-            run_trials(ps.FirstQEmulator(), ps.uniform_interval(), 3, 50, 20000, failures),
+            run_trials(ps.FirstQEmulator(greedy(3, 3)), ps.uniform_interval(), 50, 20000,
+                       failures),
             ps.RankPattern())
         assert not failures
         assert empirical.trials == 20000
