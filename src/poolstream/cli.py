@@ -94,8 +94,8 @@ def build_fixture(name: str, m: int, q: int, variant: int = 0) -> Fixture:
         if not (q <= (m + 1) // 2 or m == q == 2):
             raise ValueError(f"thm3-good-pool needs q <= ceil(m/2) or m = q = 2, "
                              f"got m={m}, q={q}")
-        return Fixture(name, two_region_marginal(m), CodedPoolAlgorithm(m, q),
-                       lambda: _cli.two_region_exact_distribution(m, q))
+        dist, alg = two_region_marginal(m), CodedPoolAlgorithm(m, q)
+        return Fixture(name, dist, alg, lambda: _cli.two_region_exact_distribution(alg, dist))
     if name == "ex1-hypotheses":
         # Bit-identification learner over its hypothesis class; ``variant``
         # is the target hypothesis index, which ``source`` checks.  For

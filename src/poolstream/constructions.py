@@ -208,14 +208,11 @@ class ChainFixture(NamedTuple):
     """Chain utility plus its response-law family over a uniform alphabet.
 
     ``dists[0]`` responds 0 everywhere; ``dists[t]`` responds 1 exactly on
-    symbol t.
+    symbol t.  The alphabet size and budget are ``utility.n`` and ``utility.q``.
     """
 
     utility: ChainUtility
     dists: tuple[SourceDistribution, ...]
-    m: int
-    q: int
-    n: int
 
 
 def chain_fixture(m: int, q: int) -> ChainFixture:
@@ -239,7 +236,7 @@ def chain_fixture(m: int, q: int) -> ChainFixture:
     dists = tuple(
         SourceDistribution(marginal, ({float(t): 1.0} if t else 0.0), atomless=True)
         for t in range(q + 1))
-    return ChainFixture(utility, dists, m, q, n)
+    return ChainFixture(utility, dists)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ empirical distributions live on a common finite support:
 
 Exact distributions enumerate one pool per value multiset (valid under the
 ``PoolAlgorithm`` permutation-invariance contract); empirical ones come from
-batches of runs; they are compared by total variation distance with
-thresholds set by sampling-noise bounds.
+batches of runs; they are compared by total variation distance against one
+fixed threshold, ``equiv-test``'s ``--tv-threshold`` (0.02 by default).
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .core import (
     SourceDistribution,
     _checked_select,
 )
-from .constructions import (CodedPoolAlgorithm, region_of, two_region_marginal,
-                            unit_from_permutation)
+from .constructions import region_of, unit_from_permutation
 
 _ENUM_BUDGET = 10**7
 
@@ -221,8 +220,8 @@ def exact_pool_distribution(alg: PoolAlgorithm,
 
     if len(marginal.pieces) != 1:
         raise TooLargeToEnumerate(
-            "multi-piece interval marginals are not purely order-driven; "
-            "use a fixture-specific enumerator")
+            "multi-piece interval marginals are not purely order-driven; the "
+            "coded pool's law is two_region_exact_distribution(alg, dist)")
     if isinstance(dist.response_one, Mapping):
         raise TooLargeToEnumerate(
             "order-statistics enumeration needs a base-independent response law")
@@ -233,18 +232,22 @@ def exact_pool_distribution(alg: PoolAlgorithm,
     return _exact_law(alg, [(reps, 1.0)], dist.prob_one, RankPattern())
 
 
-def two_region_exact_distribution(m: int, q: int,
-                                  response_one: float = 0.0) -> OutcomeDistribution:
-    """Exact output distribution of the permutation-coded pool algorithm.
+def two_region_exact_distribution(alg: PoolAlgorithm,
+                                  dist: SourceDistribution) -> OutcomeDistribution:
+    """Exact output distribution of the permutation-coded pool ``alg`` on ``dist``.
 
     The algorithm's canonical outcome depends on the pool only through the
     number of high elements and, when exactly one is high, the permutation it
     encodes; both are enumerable (binomial weights times 1/(m-1)! per
-    permutation).  The response law must be base-independent: a number.
+    permutation).  ``dist`` needs pieces [0, 1] and (1, 2] and a number as its law.
     """
-    dist = two_region_marginal(m, float(response_one))
+    m, q = alg.m, alg.q
+    if [p[:2] for p in getattr(dist.marginal, "pieces", ())] != [(0.0, 1.0), (1.0, 2.0)]:
+        raise ValueError("the coded pool's law needs interval pieces [0, 1] and (1, 2]")
+    if isinstance(dist.response_one, Mapping):
+        raise TooLargeToEnumerate(
+            "order-statistics enumeration needs a base-independent response law")
     (_, _, p_low), (_, _, p_high) = dist.marginal.pieces
-    alg = CodedPoolAlgorithm(m, q)
     # (m-1)! * 2^q in logs, so that a huge m is refused at once.
     if math.lgamma(m) + q * math.log(2) > math.log(_ENUM_BUDGET):
         raise TooLargeToEnumerate(

@@ -14,8 +14,10 @@ from poolstream.cli import run_trials
 from poolstream.constructions import (
     BitIdentificationPool,
     ChainFixture,
+    CodedPoolAlgorithm,
     HypothesisClass,
     InvalidShape,
+    two_region_marginal,
 )
 from poolstream.core import (
     DiscreteMarginal,
@@ -40,6 +42,11 @@ BERNOULLI = {0.0: 0.2, 1.0: 0.5, 2.0: 0.8}
 def greedy(m, q):
     """Greedy pool on the element's base value."""
     return GreedyUtilityPool(lambda e, h: e.base, m, q)
+
+
+def coded(m, q, law=0.0):
+    """The coded pool and its two-region source, for the coded pool's exact law."""
+    return CodedPoolAlgorithm(m, q), two_region_marginal(m, law)
 
 
 def coarse_utility(element, history):
@@ -89,11 +96,12 @@ def complete_pool(hclass: HypothesisClass, target: int) -> list[LabeledPair]:
 def expected_output(fixture: ChainFixture, t: int) -> frozenset[int]:
     """The symbol set the greedy pool algorithm must select under
     ``fixture.dists[t]`` on any pool containing symbols 1..2q-1."""
-    if not 0 <= t <= fixture.q:
-        raise ValueError(f"t={t} outside [0, {fixture.q}]")
+    q = fixture.utility.q
+    if not 0 <= t <= q:
+        raise ValueError(f"t={t} outside [0, {q}]")
     if t == 0:
-        return frozenset(range(1, fixture.q + 1))
-    return frozenset(range(1, t + 1)) | frozenset(range(fixture.q + t, 2 * fixture.q))
+        return frozenset(range(1, q + 1))
+    return frozenset(range(1, t + 1)) | frozenset(range(q + t, 2 * q))
 
 
 def identify_bits(hclass: HypothesisClass, history: History) -> int:

@@ -19,6 +19,7 @@ from poolstream.secretary import optimal_policy
 from pool_helpers import (
     BERNOULLI,
     batch,
+    coded,
     complete_pool,
     expected_output,
     first_q_exact_distribution,
@@ -166,7 +167,7 @@ def test_criterion_4_rejection_equivalence(rejection_batches):
         emp = ps.empirical_distribution(rejection_batches[("greedy", m, q)],
                                         ps.DiscreteProjection())
         worst = max(worst, ps.tv_distance(exact, emp))
-        exact2 = ps.two_region_exact_distribution(m, q)
+        exact2 = ps.two_region_exact_distribution(*coded(m, q))
         emp2 = ps.empirical_distribution(rejection_batches[("coded", m, q)],
                                          exact2.projection)
         worst = max(worst, ps.tv_distance(exact2, emp2))
@@ -334,7 +335,7 @@ def _chain_with_alphabet(q, n_min):
     while True:
         try:
             fixture = ps.chain_fixture(m, q)
-            if fixture.n >= n_min:
+            if fixture.utility.n >= n_min:
                 return fixture
         except ps.InvalidRegime:
             pass

@@ -601,6 +601,17 @@ def test_used_source_pickles_and_replays_its_stream():
         assert ps.run_stream(emulator, copy, ps.trial_rng(5, 0)) == record
 
 
+def test_thm3_exact_law_reads_the_fixtures_own_pool_and_source(monkeypatch):
+    calls = []
+    real = cli.two_region_exact_distribution
+    monkeypatch.setattr(cli, "two_region_exact_distribution",
+                        lambda *args: calls.append(args) or real(*args))
+    fixture = cli.build_fixture("thm3-good-pool", 5, 2)
+    fixture.exact()
+    (alg, dist), = calls
+    assert alg is fixture.pool_alg and dist is fixture.dist
+
+
 class TestHypothesisFixture:
     def test_iter_bench_with_wait_emulator(self, tmp_path):
         out = tmp_path / "ex1.csv"

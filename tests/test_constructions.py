@@ -175,8 +175,8 @@ class TestCodedPool:
 
 class TestChainFixture:
     def test_alphabet_size_formula(self):
-        assert ps.chain_fixture(8, 2).n == 2
-        assert ps.chain_fixture(20, 2).n == int(20 / (2 * math.log(4)))
+        assert ps.chain_fixture(8, 2).utility.n == 2
+        assert ps.chain_fixture(20, 2).utility.n == int(20 / (2 * math.log(4)))
 
     def test_regime_guards(self):
         with pytest.raises(ps.InvalidRegime):
@@ -200,7 +200,8 @@ class TestChainFixture:
 
     def test_argmax_unique_on_reachable_histories(self):
         fixture = chain_with_alphabet(5, 64)
-        utility, n, q = fixture.utility, fixture.n, fixture.q
+        utility = fixture.utility
+        n, q = utility.n, utility.q
         histories = [tuple(pair(float(s + 1)) for s in range(length))
                      for length in range(q)]
         histories += [h[:-1] + (pair(h[-1].element.base, response=1),)
@@ -236,7 +237,7 @@ def chain_with_alphabet(q, n_min):
     while True:
         try:
             fixture = ps.chain_fixture(m, q)
-            if fixture.n >= n_min:
+            if fixture.utility.n >= n_min:
                 return fixture
         except ps.InvalidRegime:
             pass

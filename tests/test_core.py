@@ -689,8 +689,7 @@ RECORD_SAMPLES = [
      "trials=50)"),
     (lambda: ps.MeanEstimate(1.5, 0.25, 10), "mean",
      "MeanEstimate(mean=1.5, half_width=0.25, trials=10)"),
-    (lambda: ps.ChainFixture(None, (), 8, 2, 2), "q",
-     "ChainFixture(utility=None, dists=(), m=8, q=2, n=2)"),
+    (lambda: ps.ChainFixture(None, ()), "dists", "ChainFixture(utility=None, dists=())"),
     (lambda: ps.hypothesis_class(1, 1, 1), "T",
      "HypothesisClass(q=1, T=1, n=1, kj_to_base={(1, 0): 0.0}, base_to_kj={0.0: (1, 0)})"),
     (lambda: ps.optimal_policy(10), "threshold",

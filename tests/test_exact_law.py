@@ -17,6 +17,7 @@ import pytest
 import poolstream as ps
 from poolstream.cli import build_fixture
 from poolstream.stats import OutcomeDistribution
+from pool_helpers import coded
 
 TV_TOL = 1e-12
 
@@ -149,7 +150,7 @@ def test_matches_reference_under_random_responses():
     dist = ps.uniform_interval(response_one=0.3)
     pairs = [(ps.exact_pool_distribution(greedy, dist),
               reference_exact(greedy, dist, 5, 3)),
-             (ps.two_region_exact_distribution(5, 2, response_one=0.5),
+             (ps.two_region_exact_distribution(*coded(5, 2, law=0.5)),
               reference_two_region(5, 2, response_one=0.5))]
     for got, want in pairs:
         assert got.support.keys() == want.support.keys()

@@ -11,8 +11,8 @@ import poolstream as ps
 from poolstream.cli import build_fixture, run_trials
 from poolstream.core import ContractViolation
 from poolstream.stats import InsufficientSamples, TooLargeToEnumerate
-from pool_helpers import (BERNOULLI, coarse_utility, first_q_exact_distribution, greedy,
-                          run_pool)
+from pool_helpers import (BERNOULLI, coarse_utility, coded, first_q_exact_distribution,
+                          greedy, run_pool)
 
 
 def pair(base, tiebreak=0.0, response=0):
@@ -163,7 +163,7 @@ class TestExactPoolDistribution:
         # Conditioned on the pool containing symbols 1..2q-1, the output is
         # forced; verified by enumerating exactly those pools.
         fixture = ps.chain_fixture(13, 2)
-        assert fixture.n >= 3
+        assert fixture.utility.n >= 3
         alg = ps.GreedyUtilityPool(fixture.utility, 4, 2)
         dist = fixture.dists[0]
         symbols = [int(s) for s in dist.marginal.symbols]
@@ -196,7 +196,7 @@ class TestExactPoolDistribution:
     def test_two_region_budget_guard(self):
         # 10! coded pools x 2^2 responses is about 1.5e7; m = 10 still enumerates.
         with pytest.raises(TooLargeToEnumerate, match="10! coded pools"):
-            ps.two_region_exact_distribution(11, 2)
+            ps.two_region_exact_distribution(*coded(11, 2))
 
     def test_m10_q5_laws_enumerate(self):
         out = build_fixture("greedy-max", 10, 5).exact()
@@ -226,7 +226,7 @@ class TestExactPoolDistribution:
         with pytest.raises(TooLargeToEnumerate):
             ps.exact_pool_distribution(greedy(3, 1), varying)
         with pytest.raises(TooLargeToEnumerate):
-            ps.exact_pool_distribution(ps.CodedPoolAlgorithm(3, 1), ps.two_region_marginal(3))
+            ps.exact_pool_distribution(*coded(3, 1))
 
 
 class TestTwoRegionExact:
@@ -235,7 +235,7 @@ class TestTwoRegionExact:
         # One high ends (low, high); otherwise two smallest of the feasible
         # region, giving (low, low) for h in {0, 2} and (high, high) for
         # h in {3, 4}.
-        out = ps.two_region_exact_distribution(4, 2)
+        out = ps.two_region_exact_distribution(*coded(4, 2))
         low_low = Fraction(81, 256) + Fraction(54, 256)
         good = Fraction(108, 256)
         high_high = Fraction(12, 256) + Fraction(1, 256)
@@ -244,35 +244,59 @@ class TestTwoRegionExact:
         assert out.support[((1, 1, 0), (1, 2, 0))] == pytest.approx(float(high_high))
 
     def test_m3_q1_masses(self):
-        out = ps.two_region_exact_distribution(3, 1)
+        out = ps.two_region_exact_distribution(*coded(3, 1))
         assert out.support[((1, 1, 0),)] == pytest.approx(13 / 27)
         assert out.support[((0, 1, 0),)] == pytest.approx(14 / 27)
 
     def test_sigma_order_symmetry_at_q3(self):
         # With two low picks before the high one, the two selection orders
         # are equally likely because the coded permutation is uniform.
-        out = ps.two_region_exact_distribution(5, 3)
+        out = ps.two_region_exact_distribution(*coded(5, 3))
         ascending = out.support[((0, 1, 0), (0, 2, 0), (1, 3, 0))]
         descending = out.support[((0, 2, 0), (0, 1, 0), (1, 3, 0))]
         assert ascending == pytest.approx(descending)
 
     def test_total_mass(self):
         for m, q in ((3, 1), (4, 2), (5, 3)):
-            assert ps.two_region_exact_distribution(m, q).total() == pytest.approx(1.0)
+            assert ps.two_region_exact_distribution(*coded(m, q)).total() == pytest.approx(1.0)
 
     def test_nonzero_response_law_branches(self):
-        out = ps.two_region_exact_distribution(3, 2, response_one=0.5)
+        out = ps.two_region_exact_distribution(*coded(3, 2, law=0.5))
         assert out.total() == pytest.approx(1.0)
         # With a 1-response on the first pick, good pools end on a low.
         assert any(key[-1][0] == 0 and key[0][2] == 1 for key in out.support)
 
     @pytest.mark.parametrize("args,error", [
-        ((1, 1), ValueError), ((4, 2, 1.5), ValueError), ((4, 2, {1.5: 1.0}), TypeError)],
+        ((1, 1), ValueError), ((4, 2, 1.5), ValueError),
+        ((4, 2, {1.5: 1.0}), TooLargeToEnumerate)],
         ids=["m-below-two", "law-above-one", "mapping-law"])
     def test_source_checks_refuse_bad_arguments(self, args, error):
-        # The marginal and SourceDistribution make these checks for the law.
+        # CodedPoolAlgorithm refuses m < 2 and SourceDistribution a law above
+        # one before the law runs; the law refuses a base-dependent mapping.
         with pytest.raises(error):
-            ps.two_region_exact_distribution(*args)
+            ps.two_region_exact_distribution(*coded(*args))
+
+    def test_masses_come_from_the_source(self):
+        # Masses 1/2 on each region: one high or three highs end high, so
+        # each region gets 1/2.  The 1/m masses of two_region_marginal(3)
+        # would give 14/27 low and 13/27 high.
+        even = ps.SourceDistribution(
+            ps.IntervalMarginal(((0.0, 1.0, 0.5), (1.0, 2.0, 0.5))), 0.0, atomless=True)
+        out = ps.two_region_exact_distribution(ps.CodedPoolAlgorithm(3, 1), even)
+        assert out.support == {((0, 1, 0),): pytest.approx(0.5),
+                               ((1, 1, 0),): pytest.approx(0.5)}
+
+    @pytest.mark.parametrize("dist", [
+        ps.uniform_interval(),
+        ps.SourceDistribution(ps.IntervalMarginal(((0.0, 0.5, 0.5), (0.5, 1.0, 0.5))),
+                              0.0, atomless=True),
+        ps.uniform_symbols(2)],
+        ids=["one-piece", "split-at-half", "discrete"])
+    def test_marginal_other_than_the_two_regions_is_refused(self, dist):
+        # The representatives, region_of and the coded decode all assume the
+        # split [0, 1] and (1, 2].
+        with pytest.raises(ValueError, match=r"\[0, 1\] and \(1, 2\]"):
+            ps.two_region_exact_distribution(ps.CodedPoolAlgorithm(3, 1), dist)
 
 
 class TestFirstQExact:
