@@ -23,6 +23,7 @@ EQUIV_GRID = [
     ("greedy-max-discrete", "gen", 4, 2),
     ("thm3-good-pool", "gen", 3, 1),
     ("thm3-good-pool", "gen", 4, 2),
+    ("thm3-good-pool", "gen", 5, 3),  # q >= 3: the replay's order check matters
     ("greedy-max-discrete", "nowait", 4, 2),
     ("greedy-max-atoms", "wait", 4, 2),
     ("thm6-chain", "utility-stream", 8, 2),

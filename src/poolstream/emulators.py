@@ -8,10 +8,10 @@ Four emulation strategies with different cost profiles:
 * :class:`NowaitEmulator` selects the whole stream prefix and replays the pool
   algorithm offline.  Bounded iterations (m), but m reveals.
 * :class:`RejectionEmulator` repeatedly redraws the unselected remainder of the
-  pool and keeps a draw only if replaying the pool algorithm on it reproduces
-  the committed history and selects the most recent arrival next.  Exactly q
-  reveals; expected iterations are bounded uniformly over sources but grow
-  exponentially with q.
+  pool and keeps a draw only if replaying the pool algorithm on it re-selects
+  the committed pairs in commit order and selects the most recent arrival
+  next.  Exactly q reveals; expected iterations are bounded uniformly over
+  sources but grow exponentially with q.
 * :class:`SecretaryEmulator` emulates greedy utility-maximizing pools by
   running optimal-stopping attempts per round over a shrinking score domain.
   Expected cost linear in q; more than q reveals (failed attempts discard
@@ -124,9 +124,10 @@ class RejectionEmulator(StreamEmulator):
 
     For round i with committed history of i-1 pairs, draw m-i+1 fresh sealed
     elements and accept iff a replay of the pool algorithm on committed+fresh
-    (a) re-selects exactly the committed pairs in its first i-1 rounds and
-    (b) selects the last-drawn fresh element in round i.  On acceptance that
-    element is genuinely selected; rejected draws reveal nothing.
+    (a) re-selects the committed pairs in commit order in its first i-1
+    rounds and (b) selects the last-drawn fresh element in round i.  On
+    acceptance that element is genuinely selected; rejected draws reveal
+    nothing.
 
     The replay serves recorded responses for committed elements.  If it picks
     a fresh (still sealed) element early, condition (a) has already failed, so
@@ -140,31 +141,25 @@ class RejectionEmulator(StreamEmulator):
         alg = self.pool_alg
         m, q = alg.m, alg.q
         committed: list[LabeledPair] = []
-        # The k committed elements in commit order, then the current draw of
-        # m - k; each redraw overwrites only the draw.
+        # Slots 0..k-1 hold the committed elements in commit order, slot k
+        # the last draw and slots k+1.. the rest of it (sound under the pool's
+        # permutation invariance); a redraw overwrites only the draw.
         elements: list = [None] * m
+        # The selected set before replay round j; passed on uncopied.
+        prefixes = [frozenset(range(j)) for j in range(q)]
         nxt = source.next
-        none_selected: frozenset[int] = frozenset()  # _checked_select passes it uncopied
         for k in range(q):
             while True:
-                for j in range(k, m):
+                for j in range(k + 1, m):
                     elements[j] = nxt()
-                # Accept iff the replay's first k picks are the k committed
-                # slots, in any order, and the next is the last draw.
-                history: list[LabeledPair] = []
-                selected = none_selected
-                for _ in range(k):
-                    idx = _checked_select(alg, elements, history, selected)
-                    if idx >= k:
-                        break  # a sealed element was picked: history mismatch
-                    selected |= {idx}
-                    history.append(committed[idx])
-                else:
-                    if _checked_select(alg, elements, history, selected) == m - 1:
+                elements[k] = nxt()
+                # Accept iff replay round j picks slot j for every j <= k.
+                for j in range(k + 1):
+                    if _checked_select(alg, elements, committed[:j], prefixes[j]) != j:
                         break
-            # The last draw, just observed, is the one the replay selected.
-            element = elements[k] = elements[m - 1]
-            committed.append(source.reveal(element))
+                else:
+                    break
+            committed.append(source.reveal(elements[k]))
         return tuple(committed)
 
 

@@ -1,15 +1,18 @@
 """Distribution equivalence verification and expectation measurement.
 
-The output of a run is reduced to a canonical outcome so that exact and
-empirical distributions live on a common finite support:
+The output of a run is its transcript, the q (element, response) pairs in
+selection order; an emulator is equivalent to a pool algorithm when its
+transcripts have the pool's law.  A transcript is reduced to a canonical
+outcome so that exact and empirical distributions live on a common finite
+support:
 
 * discrete bases: the sorted multiset of (base, response) pairs, with
-  tie-break coordinates projected out (set-level comparison);
+  tie-break coordinates projected out.  It compares output sets only, so a
+  right set selected in the wrong order passes it;
 * real bases: the selection-ordered tuple of (region bucket, rank among the
   output elements, response).  Over a continuous source the within-output
   rank pattern is the finite sufficient statistic for order-driven
-  algorithms, and keeping selection order makes the comparison strictly
-  sharper than the set-level one (the emulators match round by round).
+  algorithms, and it compares transcripts round by round.
 
 Exact distributions enumerate one pool per value multiset (valid under the
 ``PoolAlgorithm`` permutation-invariance contract); empirical ones come from

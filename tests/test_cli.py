@@ -691,11 +691,11 @@ def test_golden_csv_digest(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 over the 21 reports of scripts/run_all_experiments.py at 200 trials,
+# sha256 over the 22 reports of scripts/run_all_experiments.py at 200 trials,
 # seed 11, taken in name order as name + NUL + bytes.  It pins the cells no
 # GOLDEN_CSV covers: the gen, nowait and ex1 wait iter-bench rows and the
 # thm3 lowerbound-demo rows.
-GRID_DIGEST = "969de297783e602a2426838cafd92925b83add523ae7016f21079beec7a51a35"
+GRID_DIGEST = "e90175db649ecfaf94fd7b67e769120f22fcead8cbebc37a6d892e25eb642d2c"
 
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
@@ -716,7 +716,7 @@ def grid_reports(tmp_path_factory):
 
 
 def test_experiment_grid_digest(grid_reports):
-    assert len(grid_reports) == 21
+    assert len(grid_reports) == 22
     digest = hashlib.sha256()
     for path in grid_reports:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())

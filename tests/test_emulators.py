@@ -1,6 +1,7 @@
 """Emulator behavior: counters, waits, rejection accounting, secretary rounds."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 import poolstream as ps
 from poolstream import cli
 from poolstream.core import StreamSource
-from pool_helpers import (BERNOULLI, batch, coarse_utility, greedy, point_mass, run_pool,
-                          secpr)
+from pool_helpers import (BERNOULLI, batch, coarse_utility, coded, greedy, point_mass,
+                          run_pool, secpr)
 
 
 class FakeSource:
@@ -181,6 +182,21 @@ class TestRejectionEmulator:
         empirical = ps.empirical_distribution(
             batch(ps.RejectionEmulator(alg), dist, 32, 20000), ps.DiscreteProjection())
         assert ps.tv_distance(exact, empirical) <= 0.03
+
+    @pytest.mark.parametrize("m,trials", [(5, 2000), (6, 1000)])
+    def test_coded_pool_selection_order_at_q3(self, m, trials):
+        # At q >= 3 the coded pool picks its committed lows in an order it
+        # decodes from the fresh high element, so a replay that re-selects
+        # the committed slots in any order gets the right set in the wrong
+        # order.  The bound is Bretagnolle-Huber-Carol's: a correct emulator
+        # exceeds it with probability at most 1e-6 on a law of k outcomes.
+        alg, dist = coded(m, 3)
+        exact = ps.two_region_exact_distribution(alg, dist)
+        empirical = ps.empirical_distribution(
+            batch(ps.RejectionEmulator(alg), dist, 39, trials), exact.projection)
+        k = len(exact.support)
+        eps = math.sqrt((k * math.log(2) + math.log(1e6)) / (2 * trials))
+        assert ps.tv_distance(exact, empirical) <= eps
 
 
 class TestSecretaryEmulator:

@@ -5,7 +5,7 @@
 speed: one sort over whole elements, a split found by scanning down from the
 top, a permutation decoded only up to the entry a round reads, one elements
 list whose committed slots are kept across redraws, each redraw replayed in
-one loop on a frozen selected set, newest-first domain filters, and key
+one loop against fixed slots, newest-first domain filters, and key
 comparisons that test the score first and read the tie-break only on equal
 scores, with no ``(score, tiebreak)`` tuple built per utility call.  Each is
 checked here against a reference copy of the plain code it replaced, kept in
@@ -70,7 +70,8 @@ def reference_greedy_select(alg, elements, history, selected):
 
 
 class ReferenceRejection(ps.StreamEmulator):
-    """``RejectionEmulator`` rebuilding the replayed elements on every draw."""
+    """``RejectionEmulator`` rebuilding the replayed elements on every draw,
+    the last draw in the last slot."""
 
     def run(self, source):
         m, q = self.pool_alg.m, self.pool_alg.q
@@ -91,9 +92,10 @@ class ReferenceRejection(ps.StreamEmulator):
         elements = [p.element for p in committed] + fresh
         history = []
         selected = set()
-        for _ in range(k):
+        # Condition (a): replay round j re-selects the j-th committed pair.
+        for j in range(k):
             idx = _checked_select(alg, elements, history, selected)
-            if idx >= k:
+            if idx != j:
                 return False
             selected.add(idx)
             history.append(committed[idx])
